@@ -203,10 +203,7 @@ def _cmd_sweep(args) -> int:
     chain = _load_chain(args.roadmap, _strict(args))
     part, _ = optimal_partition_bisect(chain, args.robots, args.eps)
     sigmas = _parse_sigmas(args.sigmas)
-    rows = noise_sweep(
-        chain, part, sigmas, args.runs, args.seed, args.dt, args.horizon,
-        workers=args.workers,
-    )
+    rows = noise_sweep(chain, part, sigmas, args.runs, args.seed, args.dt, args.horizon)
     write_sweep_csv(rows, args.out)
     _write_manifest("sweep", _cfg(args), [args.roadmap], [args.out], args.out)
     return 0
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--workers", type=int, default=1, help="concurrent sweep runs")
     p.add_argument("--out", required=True)
 
     p = add("tree", _cmd_tree, help="optimal subtree collection on a tree roadmap")

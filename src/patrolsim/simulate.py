@@ -9,12 +9,15 @@ extremes wait out the slack so inter-group meetings settle into a fixed
 cadence).  The team provably synchronizes onto the optimal sweep pattern
 after a finite transient.
 
-The stepper is a flat-array kernel (numba-jitted when available) so that
-multi-thousand-run noise sweeps stay cheap.  Integration is fixed-step
-with exact event correction: a robot that would overrun a cluster boundary
-within a step is placed exactly on it, which keeps meetings grid-exact in
-the noiseless case.  Robots holding position station-keep toward their
-boundary viewpoint so actuation noise cannot let them drift away.
+The stepper is one plain-Python kernel over Python lists: scalar reads
+and writes on lists cost a fraction of the same operations on numpy
+scalars, and IEEE double arithmetic on Python floats matches numpy float64
+bit for bit, so multi-thousand-run noise sweeps stay cheap without an
+accelerator.  Integration is fixed-step with exact event correction: a
+robot that would overrun a cluster boundary within a step is placed
+exactly on it, which keeps meetings grid-exact in the noiseless case.
+Robots holding position station-keep toward their boundary viewpoint so
+actuation noise cannot let them drift away.
 
 Failures: a failed robot freezes in place and stops communicating.
 Permanent failures are detected by per-pair communication timeouts, after
@@ -24,7 +27,7 @@ which the survivors repartition the chain among themselves and resume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +35,6 @@ from .metrics import latency_from_phis, refresh_time_from_trace
 from .partition import InfeasibleError, Partition, optimal_partition_bisect
 from .roadmap import ChainRoadmap
 from .trajectories import aggregate_clusters
-
-try:  # pragma: no cover - exercised implicitly by every simulation
-    from numba import njit
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,12 @@ class SimConfig:
     eta: float = 1e-6
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
         steps = self.horizon / self.dt
@@ -135,195 +134,192 @@ class Trace:
     def write_csv(self, path) -> None:
         import csv as _csv
 
-        ev_by_step: dict[tuple[int, int], str] = {}
+        m = self.positions.shape[1]
+        no_events = [""] * m
+        tags: dict[int, list[str]] = {}  # step -> event column of its rows
         for t, kind, i, j in self.events:
-            k = int(round(t / self.config.dt))
+            if i < 0:  # team-wide events (repartition) have no robot row
+                continue
+            row = tags.setdefault(int(round(t / self.config.dt)), [""] * m)
             tag = f"{kind}:{j}" if kind == "comm" else kind
-            key = (k, i)
-            ev_by_step[key] = (ev_by_step.get(key, "") + "|" + tag).lstrip("|")
+            row[i] = (row[i] + "|" + tag).lstrip("|")
+        robots = range(m)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = _csv.writer(fh)
             w.writerow(["time", "robot", "position", "dir", "event"])
-            for k, t in enumerate(self.times):
-                for i in range(self.positions.shape[1]):
-                    w.writerow(
-                        [
-                            repr(float(t)),
-                            i,
-                            repr(float(self.positions[k, i])),
-                            int(self.dirs[k, i]),
-                            ev_by_step.get((k, i), ""),
-                        ]
+            # one step's rows at a time; the writer prints Python floats with
+            # repr, exactly as the numpy float64 values they came from
+            for k, t in enumerate(self.times.tolist()):
+                w.writerows(
+                    zip(
+                        [repr(t)] * m,
+                        robots,
+                        self.positions[k].tolist(),
+                        self.dirs[k].tolist(),
+                        tags.get(k, no_events),
                     )
+                )
 
 
-@njit(cache=True)
-def _step_kernel(
-    pos,
-    dirv,
-    hold,
-    timer,
-    pend,
-    a_time,
-    nmeet,
-    latch,
-    last_comm,
-    l,
-    r,
-    left_ext,
-    right_ext,
-    delta,
-    failed,
-    k0,
-    nsteps,
-    dt,
-    eta,
-    noise,
-    out_pos,
-    out_dir,
-    ev_step,
-    ev_pair,
-    ev_count,
-    theta,
-    detect_from,
-):
-    ma = pos.shape[0]
-    for k in range(nsteps):
-        t = (k0 + k) * dt
+def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
+    """Advance the team one step per row of ``noise``, from global step ``k0``.
+
+    Works on the Python lists of ``st`` in place.  Appends each step's
+    positions and directions to ``out_pos``/``out_dir`` and each meeting as
+    ``(step, pair)`` to ``comm``.  Returns the number of steps taken and the
+    pair whose communication timeout fired (-1 when none did).
+    """
+    pos, dirv, hold, timer, pend = st.pos, st.dir, st.hold, st.timer, st.pend
+    a_time, nmeet, latch, last_comm = st.a_time, st.nmeet, st.latch, st.last_comm
+    l, r, left_ext, right_ext, delta = st.l, st.r, st.left_ext, st.right_ext, st.delta
+    failed, eta = st.failed, st.eta
+    nan = math.nan
+    live = [not f for f in failed]
+    any_failed = not all(live)
+    # a failed robot is at neither of its boundaries: comparisons with NaN fail
+    l_live = [b if lv else nan for b, lv in zip(l, live)]
+    r_live = [b if lv else nan for b, lv in zip(r, live)]
+    ma = len(pos)
+    robots = range(ma)
+    pairs = range(ma - 1)
+    for k, vel_noise in enumerate(noise):
+        step = k0 + k
+        t = step * dt
+        # positions only change in the integration below, so every boundary
+        # test of this step reads the same start-of-step flags
+        at_l = [abs(x - b) <= eta for x, b in zip(pos, l_live)]
+        at_r = [abs(x - b) <= eta for x, b in zip(pos, r_live)]
         # pair meetings: latch once per joint dwell at the shared boundary
-        for p in range(ma - 1):
+        for p in pairs:
+            if not (at_r[p] and at_l[p + 1]):
+                latch[p] = False
+                continue
+            if latch[p]:
+                continue
+            latch[p] = True
             i = p
             j = p + 1
-            co = (
-                (not failed[i])
-                and (not failed[j])
-                and abs(pos[i] - r[i]) <= eta
-                and abs(pos[j] - l[j]) <= eta
-            )
-            if co and latch[p] == 0:
-                latch[p] = 1
-                c = nmeet[p]
-                nmeet[p] = c + 1
-                last_comm[p] = t
-                n = ev_count[0]
-                if n < ev_step.shape[0]:
-                    ev_step[n] = k0 + k
-                    ev_pair[n] = p
-                    ev_count[0] = n + 1
-                tau = a_time[i] + delta[i] - t
-                if tau < 0.0:
-                    tau = 0.0
-                if right_ext[i]:
-                    if timer[i] < 0.0:
-                        timer[i] = delta[i] + tau
-                        pend[i] = -1
-                        dirv[i] = 0
-                        hold[i] = r[i]
-                else:
-                    if c % 2 == 1:
-                        dirv[i] = -1
-                        hold[i] = np.nan
-                    else:
-                        dirv[i] = 0
-                        hold[i] = r[i]
-                if left_ext[j]:
-                    if timer[j] < 0.0:
-                        timer[j] = tau
-                        pend[j] = 1
-                        dirv[j] = 0
-                        hold[j] = l[j]
-                else:
-                    if c % 2 == 0:
-                        dirv[j] = 1
-                        hold[j] = np.nan
-                    else:
-                        dirv[j] = 0
-                        hold[j] = l[j]
-            elif not co:
-                latch[p] = 0
-        # timers fire before integration so zero-length waits cost nothing
-        for i in range(ma):
-            if failed[i]:
-                continue
-            if timer[i] >= 0.0:
-                if timer[i] <= 1e-12:
-                    timer[i] = -1.0
-                    dirv[i] = pend[i]
-                    hold[i] = np.nan
-                else:
-                    timer[i] -= dt
-        # boundary rules: chain ends reverse, others hold for their neighbor
-        for i in range(ma):
-            if failed[i] or timer[i] >= 0.0:
-                continue
-            if pos[i] < l[i] - eta:
-                dirv[i] = 1
-                hold[i] = np.nan
-            elif pos[i] > r[i] + eta:
-                dirv[i] = -1
-                hold[i] = np.nan
-            elif abs(pos[i] - l[i]) <= eta and dirv[i] <= 0:
-                if i == 0:
-                    dirv[i] = 1
-                    hold[i] = np.nan
-                elif not (not failed[i - 1] and abs(pos[i - 1] - r[i - 1]) <= eta):
-                    dirv[i] = 0
-                    hold[i] = l[i]
-            elif abs(pos[i] - r[i]) <= eta and dirv[i] >= 0:
-                if i == ma - 1:
-                    dirv[i] = -1
-                    hold[i] = np.nan
-                elif not (not failed[i + 1] and abs(pos[i + 1] - l[i + 1]) <= eta):
+            c = nmeet[p]
+            nmeet[p] = c + 1
+            last_comm[p] = t
+            comm.append((step, p))
+            tau = a_time[i] + delta[i] - t
+            if tau < 0.0:
+                tau = 0.0
+            if right_ext[i]:
+                if timer[i] < 0.0:
+                    timer[i] = delta[i] + tau
+                    pend[i] = -1
                     dirv[i] = 0
                     hold[i] = r[i]
-        # integrate with event correction at cluster boundaries
-        for i in range(ma):
+            elif c % 2 == 1:
+                dirv[i] = -1
+                hold[i] = nan
+            else:
+                dirv[i] = 0
+                hold[i] = r[i]
+            if left_ext[j]:
+                if timer[j] < 0.0:
+                    timer[j] = tau
+                    pend[j] = 1
+                    dirv[j] = 0
+                    hold[j] = l[j]
+            elif c % 2 == 0:
+                dirv[j] = 1
+                hold[j] = nan
+            else:
+                dirv[j] = 0
+                hold[j] = l[j]
+        # one pass per robot: its timer, boundary rule and integration touch
+        # only its own state, and it reads its neighbors through the flags
+        for i in robots:
             if failed[i]:
-                out_pos[k0 + k + 1, i] = pos[i]
-                out_dir[k0 + k + 1, i] = 0
                 continue
-            if dirv[i] != 0:
-                u = float(dirv[i])
-            elif not np.isnan(hold[i]):
-                u = (hold[i] - pos[i]) / dt
-                if u > 1.0:
-                    u = 1.0
-                elif u < -1.0:
-                    u = -1.0
+            # timers fire before integration so zero-length waits cost nothing
+            ti = timer[i]
+            if ti >= 0.0:
+                if ti <= 1e-12:
+                    timer[i] = -1.0
+                    dirv[i] = pend[i]
+                    hold[i] = nan
+                else:
+                    timer[i] = ti - dt
+            x = pos[i]
+            li = l[i]
+            ri = r[i]
+            # boundary rules: chain ends reverse, others hold for their neighbor
+            if timer[i] < 0.0:
+                if x < li - eta:
+                    dirv[i] = 1
+                    hold[i] = nan
+                elif x > ri + eta:
+                    dirv[i] = -1
+                    hold[i] = nan
+                elif at_l[i] and dirv[i] <= 0:
+                    if i == 0:
+                        dirv[i] = 1
+                        hold[i] = nan
+                    elif not at_r[i - 1]:
+                        dirv[i] = 0
+                        hold[i] = li
+                elif at_r[i] and dirv[i] >= 0:
+                    if i == ma - 1:
+                        dirv[i] = -1
+                        hold[i] = nan
+                    elif not at_l[i + 1]:
+                        dirv[i] = 0
+                        hold[i] = ri
+            # integrate with event correction at cluster boundaries
+            d = dirv[i]
+            if d != 0:
+                u = float(d)
             else:
-                u = 0.0
-            v = u + noise[k0 + k, i]
-            newpos = pos[i] + v * dt
-            if l[i] - eta <= pos[i] <= r[i] + eta:
-                if newpos >= r[i]:
-                    if dirv[i] > 0 and pos[i] < r[i]:
+                h = hold[i]
+                if h != h:  # NaN: nothing to station-keep toward
+                    u = 0.0
+                else:
+                    u = (h - x) / dt
+                    if u > 1.0:
+                        u = 1.0
+                    elif u < -1.0:
+                        u = -1.0
+            newpos = x + (u + vel_noise[i]) * dt
+            if li - eta <= x <= ri + eta:
+                if newpos >= ri:
+                    if d > 0 and x < ri:
                         a_time[i] = t + dt
-                    newpos = r[i]
-                elif newpos <= l[i]:
-                    newpos = l[i]
-            else:
-                # relocating into a freshly assigned cluster
-                if pos[i] < l[i] and newpos >= l[i]:
-                    newpos = l[i]
-                elif pos[i] > r[i] and newpos <= r[i]:
-                    newpos = r[i]
-                    a_time[i] = t + dt
+                    newpos = ri
+                elif newpos <= li:
+                    newpos = li
+            # relocating into a freshly assigned cluster
+            elif x < li and newpos >= li:
+                newpos = li
+            elif x > ri and newpos <= ri:
+                newpos = ri
+                a_time[i] = t + dt
             pos[i] = newpos
-            out_pos[k0 + k + 1, i] = newpos
-            out_dir[k0 + k + 1, i] = dirv[i]
+        out_pos.append(pos[:])
+        if any_failed:
+            out_dir.append([d if lv else 0 for d, lv in zip(dirv, live)])
+        else:
+            out_dir.append(dirv[:])
         # communication-timeout failure detection
         if theta > 0.0:
-            for p in range(ma - 1):
+            for p in pairs:
                 base = last_comm[p]
                 if base < detect_from:
                     base = detect_from
                 if (t + dt) - base > theta:
                     return k + 1, p
-    return nsteps, -1
+    return len(noise), -1
 
 
 class _TeamState:
-    """Kernel arrays for the currently active robots (original ids kept)."""
+    """Kernel state of the currently active robots as Python lists.
+
+    Entry ``i`` belongs to robot ``robot_ids[i]``; pair ``p`` is the
+    neighbors ``i = p`` and ``j = p + 1``.
+    """
 
     def __init__(self, chain: ChainRoadmap, partition: Partition, robot_ids, rng, eta):
         active = partition.active
@@ -340,30 +336,31 @@ class _TeamState:
             )
         agg = aggregate_clusters(partition)
         ma = len(active)
-        self.l = np.array([b[0] for b in bounds])
-        self.r = np.array([b[1] for b in bounds])
-        self.left_ext = np.zeros(ma, dtype=np.bool_)
-        self.right_ext = np.zeros(ma, dtype=np.bool_)
-        self.delta = np.zeros(ma)
+        self.l = [b[0] for b in bounds]
+        self.r = [b[1] for b in bounds]
+        self.left_ext = [False] * ma
+        self.right_ext = [False] * ma
+        self.delta = [0.0] * ma
         for g, total in zip(agg.groups, agg.lengths):
             self.left_ext[g[0]] = True
             self.right_ext[g[-1]] = True
             for i in g:
                 self.delta[i] = float(agg.d_max - total) / 2.0
         if rng is not None:
-            self.pos = rng.uniform(self.l, self.r)
-            self.dir = (rng.integers(0, 2, ma) * 2 - 1).astype(np.int8)
+            self.pos = rng.uniform(self.l, self.r).tolist()
+            self.dir = (rng.integers(0, 2, ma) * 2 - 1).tolist()
         else:
             self.pos = None
             self.dir = None
-        self.hold = np.full(ma, np.nan)
-        self.timer = np.full(ma, -1.0)
-        self.pend = np.zeros(ma, dtype=np.int8)
-        self.a_time = np.zeros(ma)
-        self.nmeet = np.zeros(ma - 1 if ma > 1 else 0, dtype=np.int64)
-        self.latch = np.zeros(ma - 1 if ma > 1 else 0, dtype=np.int8)
-        self.last_comm = np.zeros(ma - 1 if ma > 1 else 0)
-        self.failed = np.zeros(ma, dtype=np.bool_)
+        self.hold = [math.nan] * ma
+        self.timer = [-1.0] * ma
+        self.pend = [0] * ma
+        self.a_time = [0.0] * ma
+        npairs = max(0, ma - 1)
+        self.nmeet = [0] * npairs
+        self.latch = [False] * npairs
+        self.last_comm = [0.0] * npairs
+        self.failed = [False] * ma
         self.eta = eta
 
 
@@ -395,7 +392,7 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     if cfg.sigma2 > 0.0:
         noise = rng.normal(0.0, math.sqrt(cfg.sigma2), size=(steps, m))
     else:
-        noise = np.zeros((steps, m))
+        noise = None
 
     out_pos = np.empty((steps + 1, m))
     out_dir = np.zeros((steps + 1, m), dtype=np.int8)
@@ -403,12 +400,6 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     out_dir[0, state.robot_ids] = state.dir
     for pid in state.parked_ids:
         out_pos[:, pid] = state.park
-
-    min_len = min(partition.length(i) for i in partition.active)
-    max_events = 64 + 8 * (m + 1) * (steps // max(1, int(min_len / cfg.dt)) + 2)
-    ev_step = np.zeros(max_events, dtype=np.int64)
-    ev_pair = np.zeros(max_events, dtype=np.int64)
-    ev_count = np.zeros(1, dtype=np.int64)
 
     events: list[tuple[float, str, int, int]] = []
     detect_time: float | None = None
@@ -430,30 +421,20 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
 
     def run_segment(st: _TeamState, k0: int, k1: int) -> tuple[int, int]:
         cols = st.robot_ids
-        sub_noise = np.ascontiguousarray(noise[:, cols])
-        sub_pos = out_pos[:, cols].copy()
-        sub_dir = out_dir[:, cols].copy()
+        if noise is None:
+            seg_noise = [[0.0] * len(cols)] * (k1 - k0)
+        else:
+            seg_noise = noise[k0:k1, cols].tolist()
+        seg_pos: list[list[float]] = []
+        seg_dir: list[list[int]] = []
+        comm: list[tuple[int, int]] = []
         done, pair = _step_kernel(
-            st.pos, st.dir, st.hold, st.timer, st.pend, st.a_time,
-            st.nmeet, st.latch, st.last_comm,
-            st.l, st.r, st.left_ext, st.right_ext, st.delta, st.failed,
-            k0, k1 - k0, cfg.dt, st.eta, sub_noise,
-            sub_pos, sub_dir, ev_step, ev_pair, ev_count,
-            theta, detect_from,
+            st, k0, cfg.dt, seg_noise, seg_pos, seg_dir, comm, theta, detect_from
         )
-        out_pos[k0 : k0 + done + 1, cols] = sub_pos[k0 : k0 + done + 1]
-        out_dir[k0 : k0 + done + 1, cols] = sub_dir[k0 : k0 + done + 1]
+        out_pos[k0 + 1 : k0 + done + 1, cols] = seg_pos
+        out_dir[k0 + 1 : k0 + done + 1, cols] = seg_dir
+        events.extend((step * cfg.dt, "comm", cols[p], cols[p + 1]) for step, p in comm)
         return done, pair
-
-    def flush_comm_events(upto: int, cols) -> int:
-        for n in range(flush_comm_events.mark, upto):
-            t = ev_step[n] * cfg.dt
-            p = int(ev_pair[n])
-            events.append((t, "comm", cols[p], cols[p + 1]))
-        flush_comm_events.mark = upto
-        return upto
-
-    flush_comm_events.mark = 0
 
     k = 0
     while k < steps:
@@ -463,7 +444,7 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
                 k_next = tg
                 break
         t_now = k * cfg.dt
-        mask = np.zeros(len(state.robot_ids), dtype=np.bool_)
+        failed = [False] * len(state.robot_ids)
         for fw in cfg.failures:
             if int(round(fw.start / cfg.dt)) == k and fw.robot in state.robot_ids:
                 events.append((t_now, "fail", fw.robot, -1))
@@ -474,10 +455,9 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             ):
                 events.append((t_now, "resume", fw.robot, -1))
             if fw.start <= t_now < fw.end and fw.robot in state.robot_ids:
-                mask[state.robot_ids.index(fw.robot)] = True
-        state.failed = mask
+                failed[state.robot_ids.index(fw.robot)] = True
+        state.failed = failed
         done, pair = run_segment(state, k, k_next)
-        flush_comm_events(int(ev_count[0]), state.robot_ids)
         k += done
         if pair >= 0:
             # a neighbor timed out: declare the failure, repartition among
@@ -495,8 +475,8 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             if not survivors:
                 raise InfeasibleError("no survivors left to repartition")
             dead = [rid for rid in cols if not alive(rid)]
-            old_pos = {rid: state.pos[cols.index(rid)] for rid in cols}
-            old_dir = {rid: int(state.dir[cols.index(rid)]) for rid in cols}
+            old_pos = dict(zip(cols, state.pos))
+            old_dir = dict(zip(cols, state.dir))
             for rid in state.parked_ids:
                 old_pos[rid] = state.park
                 old_dir[rid] = 1
@@ -506,12 +486,10 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             repartition_time = detect_time
             events.append((detect_time, "repartition", -1, -1))
             state = _TeamState(chain, new_partition, survivors, None, cfg.eta)
-            state.pos = np.array([old_pos[rid] for rid in state.robot_ids])
-            state.dir = np.array(
-                [old_dir[rid] or 1 for rid in state.robot_ids], dtype=np.int8
-            )
-            state.a_time = np.full(len(state.robot_ids), detect_time)
-            state.last_comm = np.full(max(0, len(state.robot_ids) - 1), detect_time)
+            state.pos = [old_pos[rid] for rid in state.robot_ids]
+            state.dir = [old_dir[rid] or 1 for rid in state.robot_ids]
+            state.a_time = [detect_time] * len(state.robot_ids)
+            state.last_comm = [detect_time] * max(0, len(state.robot_ids) - 1)
             for rid in dead:
                 out_pos[k:, rid] = old_pos[rid]
                 out_dir[k:, rid] = 0
@@ -623,11 +601,6 @@ def run_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
-def _sweep_run(args) -> TraceMetrics:
-    chain, partition, cfg = args
-    return evaluate_trace(simulate(chain, partition, cfg))
-
-
 def noise_sweep(
     chain: ChainRoadmap,
     partition: Partition,
@@ -636,38 +609,24 @@ def noise_sweep(
     master_seed: int,
     dt: float,
     horizon: float,
-    detail: bool = False,
-    workers: int = 1,
-):
+) -> list[SweepRow]:
     """Seeded batch of simulations per noise variance with RT/LT statistics.
 
     Every run owns an independent RNG stream derived from (master seed,
-    run index), so results do not depend on execution order and ``workers``
-    may fan the batch out over processes.  Metrics are evaluated on the
-    post-convergence window (or the trailing half of the horizon when noise
-    prevents convergence).
+    run index), so results do not depend on execution order.  Metrics are
+    evaluated on the post-convergence window (or the trailing half of the
+    horizon when noise prevents convergence).
     """
-    jobs = []
+    rows: list[SweepRow] = []
     idx = 0
     for sigma2 in variances:
+        metrics = []
         for _ in range(runs):
             cfg = SimConfig(
                 dt=dt, horizon=horizon, seed=run_seed(master_seed, idx), sigma2=sigma2
             )
-            jobs.append((chain, partition, cfg))
+            metrics.append(evaluate_trace(simulate(chain, partition, cfg)))
             idx += 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_run, jobs, chunksize=runs))
-    else:
-        results = [_sweep_run(job) for job in jobs]
-
-    rows: list[SweepRow] = []
-    per_run: dict[float, list[TraceMetrics]] = {}
-    for k, sigma2 in enumerate(variances):
-        metrics = results[k * runs : (k + 1) * runs]
         rts = [mt.refresh for mt in metrics]
         lts = [mt.latency for mt in metrics]
         rows.append(
@@ -681,8 +640,7 @@ def noise_sweep(
                 lt_max=float(np.max(lts)),
             )
         )
-        per_run[float(sigma2)] = metrics
-    return (rows, per_run) if detail else rows
+    return rows
 
 
 def write_sweep_csv(rows, path) -> None:
@@ -703,40 +661,6 @@ def write_sweep_csv(rows, path) -> None:
                     repr(row.lt_max),
                 ]
             )
-
-
-def run_permanent_failure_scenario(
-    chain: ChainRoadmap,
-    partition: Partition,
-    cfg: SimConfig,
-    failed_robot: int,
-    fail_time: float,
-    theta: float | None = None,
-    arm_time: float | None = None,
-) -> tuple[Partition, Trace]:
-    """Kill one robot for good, detect, repartition, and keep patrolling.
-
-    ``theta`` defaults to twice the team period (a healthy pair always
-    meets within one period, so the timeout is unambiguous); detection is
-    armed at ``arm_time`` to skip the initial synchronization transient.
-    Returns the survivors' partition together with the full trace.
-    """
-    if theta is None:
-        theta = 2.0 * (2.0 * partition.dimension)
-    if arm_time is None:
-        arm_time = fail_time / 2.0
-    cfg = replace(
-        cfg,
-        failures=tuple(cfg.failures) + (FailureWindow(failed_robot, fail_time),),
-        detection_theta=theta,
-        detection_arm_time=arm_time,
-    )
-    trace = simulate(chain, partition, cfg)
-    if trace.new_partition is None:
-        raise InfeasibleError(
-            "failure was never detected within the horizon (theta too large)"
-        )
-    return trace.new_partition, trace
 
 
 def case_study_chain(n: int = 30, spacing: float = 1.0) -> ChainRoadmap:

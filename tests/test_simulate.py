@@ -82,6 +82,34 @@ class TestBasics:
         with pytest.raises(ValueError, match="integer number of steps"):
             SimConfig(dt=DT, horizon=10.01, seed=0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            SimConfig(dt=DT, horizon=horizon, seed=0)
+
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            SimConfig(dt=dt, horizon=10.0, seed=0)
+
+    def test_every_meeting_is_logged(self):
+        # a pair meets on each rising edge of "left robot at its right end
+        # and right robot at its left end"; every such edge must be a comm
+        # event, however many there are
+        chain, part = uniform_case()
+        cfg = SimConfig(dt=DT, horizon=160.0, seed=4)
+        trace = simulate(chain, part, cfg)
+        pos = trace.positions[:-1]  # the kernel tests meetings at step starts
+        for p in range(part.m - 1):
+            together = (np.abs(pos[:, p] - part.right(p)) <= cfg.eta) & (
+                np.abs(pos[:, p + 1] - part.left(p + 1)) <= cfg.eta
+            )
+            rising = np.flatnonzero(together & ~np.concatenate(([False], together[:-1])))
+            logged = [t for t, kind, i, j in trace.events if kind == "comm" and i == p]
+            assert len(rising) > 0
+            assert len(logged) == len(rising)
+            assert logged == [k * cfg.dt for k in rising.tolist()]
+
 
 class TestConvergence:
     def test_many_seeds_reach_optimum(self):
