@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -187,16 +188,36 @@ def _cmd_eval(args) -> int:
 
 
 def _read_trace(path):
-    times = []
-    rows: dict[float, dict[int, float]] = {}
+    """Times (K,) and positions (K, m) from a trace CSV in step-major order:
+    each step lists robots 0..m-1 in order under one time, as
+    ``Trace.write_csv`` and ``TeamTrajectory.write_trace_csv`` write it."""
+    # floats go into typed arrays row by row: keeping the parsed rows of a
+    # long trace would cost tens of MB
+    t, robot, x = array("d"), [], array("d")
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            t = float(row["time"])
-            rows.setdefault(t, {})[int(row["robot"])] = float(row["position"])
-    times = sorted(rows)
-    m = max(max(r) for r in rows.values()) + 1
-    positions = np.array([[rows[t][i] for i in range(m)] for t in times])
-    return np.array(times), positions
+        reader = csv.reader(fh)
+        if next(reader, [])[:3] != ["time", "robot", "position"]:
+            raise ValueError(f"{path}: header must start with time,robot,position")
+        try:
+            for row in reader:
+                t.append(float(row[0]))
+                robot.append(int(row[1]))
+                x.append(float(row[2]))
+        except IndexError:
+            raise ValueError(f"{path}: a row lacks time, robot or position") from None
+    if not robot:
+        raise ValueError(f"{path}: trace has no rows")
+    robot = np.array(robot)
+    m = max(int(robot.max()), 0) + 1
+    if len(robot) % m or not np.array_equal(robot, np.tile(np.arange(m), len(robot) // m)):
+        raise ValueError(f"{path}: each step must list robots 0..{m - 1} in order")
+    t = np.frombuffer(t).reshape(-1, m)
+    if (t != t[:, :1]).any():
+        raise ValueError(f"{path}: the rows of one step must share one time")
+    times = t[:, 0]
+    if (np.diff(times) <= 0).any():
+        raise ValueError(f"{path}: step times must strictly increase")
+    return times, np.frombuffer(x).reshape(-1, m)
 
 
 def _cmd_sweep(args) -> int:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from .metrics import max_revisit_gap
 from .partition import InfeasibleError, optimal_partition_bisect
 from .roadmap import ChainRoadmap, Roadmap, RoadmapPoint
 from .trajectories import PiecewisePath, TeamTrajectory, min_refresh_trajectory
@@ -379,23 +380,15 @@ class CoverTrajectory:
     horizon: Fraction
 
     def refresh_time(self) -> float:
-        """Exact steady refresh time over the declared path vertices."""
+        """Exact steady refresh time over the declared path vertices: the
+        longest gap between visits, boundary gaps left out."""
         episodes: dict[str, list] = {}
         for path, (vids, cum) in zip(self.robots, self.arcs):
             for vid, pos in zip(vids, cum):
                 episodes.setdefault(vid, []).extend(path.occupancy(pos))
         worst = Fraction(0)
-        for vid, eps in episodes.items():
-            eps.sort()
-            merged = [eps[0]]
-            for s, e in eps[1:]:
-                if s <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-                else:
-                    merged.append((s, e))
-            gaps = [b[0] - a[1] for a, b in zip(merged, merged[1:])]
-            if gaps:
-                worst = max(worst, max(gaps))
+        for eps in episodes.values():
+            worst = max(worst, max_revisit_gap(eps, Fraction(0), self.horizon))
         return float(worst)
 
 

@@ -8,7 +8,11 @@ viewpoint visits by interpolation between samples, and is accurate to one
 or two steps.
 
 Refresh time is the longest interval during which some viewpoint goes
-unvisited.  Latency is evaluated by message propagation over the per-pair
+unvisited.  Every refresh-time evaluator, exact or sampled, chain or path
+cover, gathers one viewpoint's visit episodes and hands them to
+``max_revisit_gap``: one interval merge (``_merge_intervals``) and one rule
+for the gaps at the window's ends, in whichever arithmetic the episodes
+use.  Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
 and the horizon end substitutes when no chain completes.
@@ -31,57 +35,22 @@ Interval = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
-class VisitLog:
-    """Merged occupancy episodes per viewpoint over [0, horizon]."""
-
-    episodes: tuple[tuple[Interval, ...], ...]
-    horizon: Fraction
-    eta: float = 0.0
-
-
-@dataclass(frozen=True)
-class CommLog:
-    """Sorted communication instants per adjacent relay pair.
-
-    ``phis[q]`` holds the instants at which relay robots q and q+1 occupy
-    chain-adjacent viewpoints, each dwell interval collapsed to its start,
-    with 0 always present.
-    """
-
-    phis: tuple[tuple[Fraction, ...], ...]
-    horizon: Fraction
-
-
-@dataclass(frozen=True)
 class LatencyResult:
     up: float
     down: float
     overall: float
 
 
-def visit_log(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> VisitLog:
-    chain = chain or traj.chain
-    if chain is None:
-        raise ValueError("a chain roadmap is required to locate viewpoints")
-    episodes = []
-    ranges = [p.value_range() for p in traj.robots]
-    for c in chain.coords_exact:
-        eps: list[Interval] = []
-        for path, (lo, hi) in zip(traj.robots, ranges):
-            if lo <= c <= hi:
-                eps.extend(path.occupancy(c))
-        episodes.append(tuple(_merge_intervals(eps)))
-    return VisitLog(episodes=tuple(episodes), horizon=traj.horizon)
+def max_revisit_gap(eps: list, t0, t1, cap=None, strict: bool = False):
+    """Longest gap between the visit episodes ``eps`` of one viewpoint
+    within [t0, t1], in the arithmetic of its inputs (``Fraction`` or float).
 
-
-def _max_gap(
-    eps: tuple[Interval, ...],
-    t0: Fraction,
-    t1: Fraction,
-    cap: Fraction | None,
-    strict: bool,
-) -> Fraction | float:
-    inside = [(max(s, t0), min(e, t1)) for s, e in eps if e >= t0 and s <= t1]
+    The episodes are merged and clipped to the window.  The gaps before the
+    first visit and after the last one count in full when ``strict``, up to
+    ``cap`` when one is given, and not at all otherwise (steady evaluation
+    of an aperiodic path).  Returns ``inf`` when no visit lies in the window.
+    """
+    inside = [(max(s, t0), min(e, t1)) for s, e in _merge_intervals(eps) if e >= t0 and s <= t1]
     if not inside:
         return math.inf
     gaps = [b[0] - a[1] for a, b in zip(inside, inside[1:])]
@@ -91,8 +60,7 @@ def _max_gap(
         gaps += [head, tail]
     elif cap is not None:
         gaps += [min(head, cap), min(tail, cap)]
-    # else: steady evaluation on an aperiodic path, boundary gaps dropped
-    return max(gaps) if gaps else Fraction(0)
+    return max(gaps, default=t0 - t0)
 
 
 def refresh_time(
@@ -109,30 +77,35 @@ def refresh_time(
     definition including uncapped boundary gaps.  Returns ``inf`` when some
     viewpoint is never visited.
     """
-    log = visit_log(traj, chain)
+    chain = chain or traj.chain
+    if chain is None:
+        raise ValueError("a chain roadmap is required to locate viewpoints")
     t0, t1 = Fraction(warmup), traj.horizon
     cap = traj.max_robot_period()
     if cap is not None and not strict:
         if t1 - t0 < 2 * cap:
             raise ValueError("evaluation window shorter than two team periods")
+    ranges = [p.value_range() for p in traj.robots]
     worst: Fraction | float = Fraction(0)
-    for eps in log.episodes:
-        g = _max_gap(eps, t0, t1, cap, strict)
-        if g == math.inf:
-            return math.inf
-        if g > worst:
-            worst = g
+    for c in chain.coords_exact:
+        eps: list[Interval] = []
+        for path, (lo, hi) in zip(traj.robots, ranges):
+            if lo <= c <= hi:
+                eps.extend(path.occupancy(c))
+        worst = max(worst, max_revisit_gap(eps, t0, t1, cap, strict))
+        if worst == math.inf:
+            break
     return float(worst)
 
 
 def communication_instants(
-    traj: TeamTrajectory, chain: ChainRoadmap | None = None, eta: float = 0.0
-) -> CommLog:
-    """Exact meeting instants for each adjacent relay pair.
+    traj: TeamTrajectory, chain: ChainRoadmap | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Sorted exact meeting instants for each adjacent relay pair.
 
-    Robots communicate while simultaneously occupying viewpoints adjacent
-    in the chain; each such joint dwell is collapsed to its start instant.
-    ``eta`` is accepted for interface parity and ignored on exact paths.
+    Entry q holds the instants at which relay robots q and q+1 occupy
+    chain-adjacent viewpoints, each joint dwell collapsed to its start
+    instant, with 0 always present.
     """
     chain = chain or traj.chain
     if chain is None:
@@ -162,7 +135,7 @@ def communication_instants(
         merged = _merge_intervals(joint)
         instants = sorted({Fraction(0)} | {s for s, _ in merged})
         phis.append(tuple(instants))
-    return CommLog(phis=tuple(phis), horizon=traj.horizon)
+    return tuple(phis)
 
 
 def propagate_latency(phis, horizon) -> tuple:
@@ -193,18 +166,14 @@ def propagate_latency(phis, horizon) -> tuple:
     return up, down
 
 
-def latency(
-    traj: TeamTrajectory, chain: ChainRoadmap | None = None, eta: float = 0.0
-) -> LatencyResult:
+def latency(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> LatencyResult:
     """Up/down/overall latency of a chain trajectory by message propagation."""
     m = len(traj.relay)
     if m < 2:
         raise ValueError("latency is defined for at least two robots")
-    if m == 2:
-        return LatencyResult(0.0, 0.0, 0.0)
-    comm = communication_instants(traj, chain, eta)
-    up, down = propagate_latency(comm.phis, traj.horizon)
-    return LatencyResult(up=float(up), down=float(down), overall=float(max(up, down)))
+    # a single pair relays nothing, so its meetings need not be found
+    phis = communication_instants(traj, chain) if m > 2 else ()
+    return latency_from_phis(phis, traj.horizon)
 
 
 def latency_lower_bounds(partition: Partition) -> tuple[float, float]:
@@ -241,7 +210,7 @@ def metrics_report(rt: float, lat: LatencyResult | None, bounds=None) -> dict:
 
 
 def _visit_episodes_sampled(times, xs, value, eta):
-    """Visit episodes of one robot at one coordinate from samples.
+    """Unmerged visit episodes of one robot at one coordinate from samples.
 
     Dwells are detected by |x - value| <= eta, pass-throughs by sign change
     with linear interpolation for the crossing time.
@@ -260,14 +229,7 @@ def _visit_episodes_sampled(times, xs, value, eta):
     for k in cross:
         t = times[k] + (times[k + 1] - times[k]) * d[k] / (d[k] - d[k + 1])
         eps.append((t, t))
-    eps.sort()
-    merged = []
-    for s, e in eps:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
+    return eps
 
 
 def refresh_time_from_trace(
@@ -279,7 +241,11 @@ def refresh_time_from_trace(
     cap: float | None = None,
     strict: bool = False,
 ) -> float:
-    """Refresh time from a sampled trace (rows: times, cols: robots)."""
+    """Refresh time from a sampled trace (rows: times, cols: robots).
+
+    Boundary gaps follow ``max_revisit_gap``'s rule for ``cap`` and
+    ``strict``.
+    """
     t0, t1 = warmup, float(times[-1])
     worst = 0.0
     for v in coords:
@@ -288,25 +254,10 @@ def refresh_time_from_trace(
             xs = positions[:, i]
             if xs.min() - eta <= v <= xs.max() + eta:
                 eps.extend(_visit_episodes_sampled(times, xs, v, eta))
-        eps.sort()
-        merged = []
-        for s, e in eps:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        inside = [(max(s, t0), min(e, t1)) for s, e in merged if e >= t0 and s <= t1]
-        if not inside:
-            return math.inf
-        gaps = [b[0] - a[1] for a, b in zip(inside, inside[1:])]
-        head, tail = inside[0][0] - t0, t1 - inside[-1][1]
-        if strict:
-            gaps += [head, tail]
-        elif cap is not None:
-            gaps += [min(head, cap), min(tail, cap)]
-        if gaps:
-            worst = max(worst, max(gaps))
-    return worst
+        worst = max(worst, max_revisit_gap(eps, t0, t1, cap, strict))
+        if worst == math.inf:
+            break
+    return float(worst)
 
 
 def comm_instants_from_trace(
@@ -338,10 +289,10 @@ def comm_instants_from_trace(
     return phis
 
 
-def latency_from_phis(phis, horizon: float) -> LatencyResult:
-    if len(phis) < 1:
-        return LatencyResult(0.0, 0.0, 0.0)
-    if len(phis) == 1:
+def latency_from_phis(phis, horizon) -> LatencyResult:
+    """Latency from per-pair instant lists; fewer than two pairs relay
+    nothing and give zero."""
+    if len(phis) < 2:
         return LatencyResult(0.0, 0.0, 0.0)
     up, down = propagate_latency(phis, horizon)
     return LatencyResult(up=float(up), down=float(down), overall=float(max(up, down)))

@@ -65,8 +65,12 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not math.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not math.isfinite(self.sigma2) or self.sigma2 < 0:
+            raise ValueError(
+                f"noise variance must be finite and nonnegative, got {self.sigma2!r}"
+            )
+        if math.isnan(self.eta) or self.eta < 0:
+            raise ValueError(f"meeting tolerance eta must be nonnegative, got {self.eta!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer number of steps")
@@ -365,6 +369,16 @@ class _TeamState:
 
 
 def _validate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> None:
+    for fw in cfg.failures:
+        if not 0 <= fw.robot < partition.m:
+            raise ValueError(
+                f"failure window names robot {fw.robot}, not one of 0..{partition.m - 1}"
+            )
+        if not fw.end > fw.start:
+            raise ValueError(
+                f"failure window of robot {fw.robot} must end after its start {fw.start}, "
+                f"got end {fw.end}"
+            )
     lengths = [partition.length(i) for i in partition.active]
     positive = [d for d in lengths if d > 0]
     if positive and cfg.dt >= min(positive) / 4.0:
@@ -570,7 +584,6 @@ def evaluate_trace(
     )
     phis = trace.comm_phis(relay, t_min=warmup)
     if any(not p for p in phis):
-        lat = latency_from_phis([[0.0]] * 2, trace.horizon)
         lat_up = lat_down = lat_all = math.inf
     else:
         res = latency_from_phis(phis, trace.horizon)

@@ -303,18 +303,12 @@ class AggregatedClusters:
     """
 
     groups: tuple[tuple[int, ...], ...]
-    group_of: dict[int, int]
     lengths: tuple[Fraction, ...]
-    left_extremes: tuple[Fraction, ...]
-    right_extremes: tuple[Fraction, ...]
     d_max: Fraction
 
     @property
     def count(self) -> int:
         return len(self.groups)
-
-    def lengths_float(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.lengths)
 
 
 def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
@@ -349,23 +343,7 @@ def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
     lengths = tuple(sum(d[i] for i in g) for g in groups)
     for a, b in zip(lengths, lengths[1:]):
         assert a + b > dmax, "maximality guarantees consecutive sums exceed d_max"
-    coords = partition.chain.coords_exact
-    left = tuple(coords[partition.clusters[active[g[0]]][0]] for g in groups)
-    right = tuple(coords[partition.clusters[active[g[-1]]][-1]] for g in groups)
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for i in g:
-            group_of[i] = gi
-    for i in range(len(active), partition.m):
-        group_of[i] = len(groups) - 1  # parked robots ride along with the last group
-    return AggregatedClusters(
-        groups=tuple(groups),
-        group_of=group_of,
-        lengths=lengths,
-        left_extremes=left,
-        right_extremes=right,
-        d_max=dmax,
-    )
+    return AggregatedClusters(groups=tuple(groups), lengths=lengths, d_max=dmax)
 
 
 def _cluster_bounds(partition: Partition) -> list[tuple[Fraction, Fraction]]:

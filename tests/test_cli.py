@@ -116,6 +116,35 @@ class TestSimulateDeterminism:
         assert sha(out) == digest
 
 
+class TestRejectedInputs:
+    def test_failure_of_robot_not_on_team(self, tmp_path, uniform_file):
+        rc = dispatch(
+            ["simulate", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "20",
+             "--fail", "12:5:10", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert rc == 1
+
+    @pytest.mark.parametrize("damage", ["missing_row", "shuffled_rows", "repeated_step"])
+    def test_eval_trace_rows_not_step_major(self, tmp_path, uniform_file, damage):
+        trace = tmp_path / "trace.csv"
+        assert dispatch(
+            ["simulate", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "20",
+             "--out", str(trace)]
+        ) == 0
+        eval_args = ["eval", "--roadmap", str(uniform_file), "--trace", str(trace),
+                     "-m", "4", "--out", str(tmp_path / "metrics.json")]
+        assert dispatch(eval_args) == 0
+        header, *rows = trace.read_text().splitlines()
+        if damage == "missing_row":
+            del rows[9]
+        elif damage == "shuffled_rows":
+            rows[8], rows[9] = rows[9], rows[8]
+        else:  # step 1 written twice, so time does not increase
+            rows[8:8] = rows[4:8]
+        trace.write_text("\n".join([header, *rows]) + "\n")
+        assert dispatch(eval_args) == 1
+
+
 class TestOtherCommands:
     def test_sweep_csv(self, tmp_path, uniform_file):
         out = tmp_path / "sweep.csv"

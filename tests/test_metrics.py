@@ -10,6 +10,7 @@ from patrolsim.metrics import (
     latency,
     latency_from_phis,
     latency_lower_bounds,
+    max_revisit_gap,
     metrics_report,
     propagate_latency,
     refresh_time,
@@ -114,13 +115,54 @@ class TestRefreshTime:
             assert abs(sampled - exact) <= 2 * dt
 
 
+class TestMaxRevisitGap:
+    # window [4, 20]: the episodes merge and clip to (4, 5), (9, 12), (15, 15),
+    # so the interior gaps are 4 and 3, the head 0 and the tail 5; a lone
+    # visit (5, 6) leaves a head of 5, a tail of 4 and no interior gap
+    EPISODES = [
+        (Fraction(15), Fraction(15)),
+        (Fraction(9), Fraction(12)),
+        (Fraction(-2), Fraction(-1)),
+        (Fraction(19, 2), Fraction(10)),
+        (Fraction(3), Fraction(5)),
+    ]
+
+    @pytest.mark.parametrize(
+        "strict, cap, expected, lone",
+        [
+            (True, None, Fraction(5), Fraction(5)),
+            (False, Fraction(9, 2), Fraction(9, 2), Fraction(9, 2)),
+            (False, None, Fraction(4), Fraction(0)),
+        ],
+        ids=["strict", "capped", "interior-only"],
+    )
+    def test_fraction_and_float_agree(self, strict, cap, expected, lone):
+        def both(eps, t0, t1):
+            exact = max_revisit_gap(list(eps), Fraction(t0), Fraction(t1), cap, strict)
+            flt = max_revisit_gap(
+                [(float(s), float(e)) for s, e in eps], float(t0), float(t1),
+                None if cap is None else float(cap), strict,
+            )
+            return exact, flt
+
+        exact, flt = both(self.EPISODES, 4, 20)
+        assert exact == expected and type(exact) is Fraction
+        assert flt == float(expected) and type(flt) is float
+        exact, flt = both([(Fraction(5), Fraction(6))], 0, 10)
+        assert exact == lone and type(exact) is Fraction
+        assert flt == float(lone) and type(flt) is float
+        # no visit in the window
+        assert both(self.EPISODES, 21, 30) == (math.inf, math.inf)
+        assert both([], 0, 10) == (math.inf, math.inf)
+
+
 class TestCommInstants:
     def test_staggered_sweeps_form_arithmetic_progression(self):
         chain, part = chain_with_lengths([2.0, 3.0, 3.0, 2.0])
         traj = min_up_latency_trajectory(part, 60)
         comm = communication_instants(traj, chain)
         dmax = Fraction(3)
-        for phi in comm.phis:
+        for phi in comm:
             diffs = {b - a for a, b in zip(phi[1:], phi[2:])}
             assert diffs == {2 * dmax}
 
@@ -132,7 +174,7 @@ class TestCommInstants:
         )
         traj = TeamTrajectory(robots=robots, horizon=Fraction(10), chain=chain)
         comm = communication_instants(traj, chain)
-        assert comm.phis[0] == (Fraction(0),)
+        assert comm[0] == (Fraction(0),)
 
     def test_never_adjacent_keeps_only_zero(self):
         chain = ChainRoadmap([0, 1, 2, 3])
@@ -142,7 +184,7 @@ class TestCommInstants:
         )
         traj = TeamTrajectory(robots=robots, horizon=Fraction(10), chain=chain)
         comm = communication_instants(traj, chain)
-        assert comm.phis[0] == (Fraction(0),)
+        assert comm[0] == (Fraction(0),)
 
     def test_interval_interior_equivalence(self, rng):
         # relaying from dwell-interval interiors instead of collapsed starts
@@ -259,7 +301,7 @@ class TestLatency:
             chain, part = singleton_group_instance(rng, m=5)
             traj = min_latency_trajectory(part, 12 * part.dimension)
             comm = communication_instants(traj, chain)
-            phis = [[float(t) for t in p] for p in comm.phis]
+            phis = [[float(t) for t in p] for p in comm]
             res = latency(traj, chain)
             up, down, overall = naive_propagation(phis, float(traj.horizon))
             assert math.isclose(res.up, up, abs_tol=1e-12)
@@ -295,7 +337,7 @@ class TestLowerBounds:
             up_lb, _ = latency_lower_bounds(part)
             traj = random_image_trajectory(rng, part, horizon=14 * part.dimension)
             comm = communication_instants(traj, chain)
-            if len(comm.phis[0]) < 2:
+            if len(comm[0]) < 2:
                 continue
             checked += 1
             res = latency(traj, chain)

@@ -92,6 +92,35 @@ class TestBasics:
         with pytest.raises(ValueError, match="dt must be finite"):
             SimConfig(dt=dt, horizon=10.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma2", float("nan")),
+            ("sigma2", float("inf")),
+            ("sigma2", -0.1),
+            ("eta", float("nan")),
+            ("eta", -1e-6),
+        ],
+    )
+    def test_bad_noise_or_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be"):
+            SimConfig(dt=DT, horizon=10.0, seed=0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "window, match",
+        [
+            (FailureWindow(12, 5.0, 10.0), "not one of 0..9"),
+            (FailureWindow(-1, 5.0, 10.0), "not one of 0..9"),
+            (FailureWindow(3, 10.0, 5.0), "must end after its start"),
+            (FailureWindow(3, 5.0, 5.0), "must end after its start"),
+        ],
+    )
+    def test_bad_failure_window_rejected(self, window, match):
+        chain, part = uniform_case()
+        cfg = SimConfig(dt=DT, horizon=20.0, seed=0, failures=(window,))
+        with pytest.raises(ValueError, match=match):
+            simulate(chain, part, cfg)
+
     def test_every_meeting_is_logged(self):
         # a pair meets on each rising edge of "left robot at its right end
         # and right robot at its left end"; every such edge must be a comm
@@ -168,7 +197,7 @@ class TestFrequencyOfExchange:
             chain, part = singleton_group_instance(rng, m=6)
             traj = min_latency_trajectory(part, 14 * part.dimension)
             comm = communication_instants(traj, chain)
-            phis = [[float(t) for t in p if t > 0] for p in comm.phis]
+            phis = [[float(t) for t in p if t > 0] for p in comm]
             window = 2 * part.dimension
             for q in range(len(phis) - 2):
                 a, b, c = phis[q], phis[q + 1], phis[q + 2]

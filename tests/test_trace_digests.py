@@ -2,7 +2,8 @@
 
 Traces are bit-exact functions of (chain, partition, config), so any change
 to the stepper that alters one IEEE operation, one meeting or one event
-shows up here.  The digests were recorded from the numpy-array kernel that
+shows up here.  The metrics ``evaluate_trace`` reports from the same traces
+are pinned too, as plain floats compared with ``==``.  The digests were recorded from the numpy-array kernel that
 the list kernel replaced; the event times in them are plain Python floats.
 General chains are left out on purpose: their timer semantics are due to
 change.
@@ -15,7 +16,13 @@ import hashlib
 import pytest
 
 from patrolsim.partition import optimal_partition_bisect
-from patrolsim.simulate import FailureWindow, SimConfig, case_study_chain, simulate
+from patrolsim.simulate import (
+    FailureWindow,
+    SimConfig,
+    case_study_chain,
+    evaluate_trace,
+    simulate,
+)
 
 DT = 1.0 / 32.0
 
@@ -88,6 +95,21 @@ DIGESTS = {
 }
 
 
+# evaluate_trace(trace) as (refresh, latency_up, latency_down, latency,
+# warmup, converged): the metrics a sweep row reports from each trace
+METRICS = {
+    "c5_seed0": (4.0, 16.0, 16.0, 16.0, 18.15625, True),
+    "c5_seed1": (4.0, 16.0, 16.0, 16.0, 9.40625, True),
+    "c5_seed2": (4.0, 16.0, 16.0, 16.0, 17.46875, True),
+    "c5_seed3": (4.0, 16.0, 16.0, 16.0, 19.78125, True),
+    "c6": (4.0, 16.0, 16.0, 16.0, 413.0, True),
+    "c7": (25.03125, 151.0, 143.0, 151.0, 220.0, False),
+    "noisy_0.1": (4.9375, 17.65625, 17.9375, 17.9375, 70.0, False),
+    "noisy_0.2": (5.0, 18.09375, 18.21875, 18.21875, 70.0, False),
+    "noisy_0.3": (5.5, 18.84375, 18.25, 18.84375, 70.0, False),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -109,3 +131,12 @@ def test_trace_matches_golden_digest(case_study, name):
         _sha(repr(trace.events).encode()),
     )
     assert got == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_metrics_match_golden_values(case_study, name):
+    chain, part = case_study
+    tm = evaluate_trace(simulate(chain, part, CONFIGS[name]))
+    got = (tm.refresh, tm.latency_up, tm.latency_down, tm.latency, tm.warmup, tm.converged)
+    assert got == METRICS[name]
+    assert all(type(v) is float for v in got[:5])

@@ -76,7 +76,7 @@ class TestAggregation:
         agg = aggregate_clusters(part)
         assert agg.groups == ((0, 1), (2,), (3,))
         assert agg.count == 3
-        assert agg.lengths_float() == (2.0, 3.0, 1.0)
+        assert agg.lengths == (Fraction(2), Fraction(3), Fraction(1))
 
     def test_saturated_clusters(self):
         _, part = chain_with_lengths([3.0, 3.0])
