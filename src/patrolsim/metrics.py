@@ -16,6 +16,19 @@ use.  Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
 and the horizon end substitutes when no chain completes.
+
+Exact evaluation folds periods, so its cost does not grow with the
+horizon.  Cyclic paths repeat together after their latest anchor A with
+the least common period P (``_common_cycle``).  Refresh time: when every
+path ranging over a viewpoint is cyclic and one cycle reaches it, the
+viewpoint is visited in every period after S = max(warmup, A), so every
+gap after S has a copy in [S, S + 2P] and the tail gap moves by whole
+periods; the window end moves back by whole periods into [S + 2P,
+S + 3P).  Latency: when every relay pair meets in (A, A + P], each hop
+waits less than P, so every relay from a source up to A + P completes
+before A + (m - 1) P; later sources repeat one of them or are cut short
+by the horizon, and the instants are only gathered up to that time.
+Viewpoints and relays that fail a condition use the whole horizon.
 """
 
 from __future__ import annotations
@@ -63,6 +76,20 @@ def max_revisit_gap(eps: list, t0, t1, cap=None, strict: bool = False):
     return max(gaps, default=t0 - t0)
 
 
+def _common_cycle(paths) -> tuple[Fraction, Fraction] | None:
+    """Latest anchor and least common period of cyclic paths, after which
+    all of them repeat together; ``None`` when any path is acyclic."""
+    periods = [p.period for p in paths]
+    if not periods or any(q is None for q in periods):
+        return None
+    # lcm(a/b, c/d) = lcm(a, c) / gcd(b, d) for fractions in lowest terms
+    period = Fraction(
+        math.lcm(*(q.numerator for q in periods)),
+        math.gcd(*(q.denominator for q in periods)),
+    )
+    return max(p.anchor for p in paths), period
+
+
 def refresh_time(
     traj: TeamTrajectory,
     chain: ChainRoadmap | None = None,
@@ -75,37 +102,70 @@ def refresh_time(
     are capped at the declared team period, which evaluates a periodic
     trajectory by its steady state; ``strict=True`` reproduces the raw
     definition including uncapped boundary gaps.  Returns ``inf`` when some
-    viewpoint is never visited.
+    viewpoint is never visited.  Raises ``ValueError`` unless
+    ``0 <= warmup < T_f``.
     """
     chain = chain or traj.chain
     if chain is None:
         raise ValueError("a chain roadmap is required to locate viewpoints")
     t0, t1 = Fraction(warmup), traj.horizon
+    if not 0 <= t0 < t1:
+        raise ValueError(f"warmup {float(t0)} outside [0, horizon {float(t1)})")
     cap = traj.max_robot_period()
     if cap is not None and not strict:
         if t1 - t0 < 2 * cap:
             raise ValueError("evaluation window shorter than two team periods")
     ranges = [p.value_range() for p in traj.robots]
+    swept = [
+        (min(x for _, x in p.cycle), max(x for _, x in p.cycle)) if p.cycle else None
+        for p in traj.robots
+    ]
     worst: Fraction | float = Fraction(0)
     for c in chain.coords_exact:
+        holders = [i for i, (lo, hi) in enumerate(ranges) if lo <= c <= hi]
+        end = t1
+        common = _common_cycle([traj.robots[i] for i in holders])
+        if common is not None and any(
+            swept[i][0] <= c <= swept[i][1] for i in holders
+        ):
+            # a cycle visits c every period, so every later gap has a copy
+            # in [start, start + 2P] and the tail moves by whole periods
+            anchor, period = common
+            start = max(t0, anchor)
+            end = t1 - max(0, (t1 - start - 2 * period) // period) * period
         eps: list[Interval] = []
-        for path, (lo, hi) in zip(traj.robots, ranges):
-            if lo <= c <= hi:
-                eps.extend(path.occupancy(c))
-        worst = max(worst, max_revisit_gap(eps, t0, t1, cap, strict))
+        for i in holders:
+            eps.extend(traj.robots[i].occupancy(c, end))
+        worst = max(worst, max_revisit_gap(eps, t0, end, cap, strict))
         if worst == math.inf:
             break
     return float(worst)
 
 
+def _intersections(ea: list[Interval], eb: list[Interval]) -> list[Interval]:
+    """Nonempty intersections of two sorted lists of disjoint intervals."""
+    out: list[Interval] = []
+    i = j = 0
+    while i < len(ea) and j < len(eb):
+        (s1, e1), (s2, e2) = ea[i], eb[j]
+        s, e = max(s1, s2), min(e1, e2)
+        if s <= e:
+            out.append((s, e))
+        if e1 < e2:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
 def communication_instants(
-    traj: TeamTrajectory, chain: ChainRoadmap | None = None
+    traj: TeamTrajectory, chain: ChainRoadmap | None = None, t_end=None
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Sorted exact meeting instants for each adjacent relay pair.
 
-    Entry q holds the instants at which relay robots q and q+1 occupy
-    chain-adjacent viewpoints, each joint dwell collapsed to its start
-    instant, with 0 always present.
+    Entry q holds the instants in [0, t_end] (default: the horizon) at
+    which relay robots q and q+1 occupy chain-adjacent viewpoints, each
+    joint dwell collapsed to its start instant, with 0 always present.
     """
     chain = chain or traj.chain
     if chain is None:
@@ -123,15 +183,9 @@ def communication_instants(
             for pa, pb in ((u, v), (v, u)):
                 if not (alo <= pa <= ahi and blo <= pb <= bhi):
                     continue
-                ea = a.occupancy(pa)
-                if not ea:
-                    continue
-                eb = b.occupancy(pb)
-                for s1, e1 in ea:
-                    for s2, e2 in eb:
-                        s, e = max(s1, s2), min(e1, e2)
-                        if s <= e:
-                            joint.append((s, e))
+                ea = a.occupancy(pa, t_end)
+                if ea:
+                    joint += _intersections(ea, b.occupancy(pb, t_end))
         merged = _merge_intervals(joint)
         instants = sorted({Fraction(0)} | {s for s, _ in merged})
         phis.append(tuple(instants))
@@ -171,9 +225,22 @@ def latency(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> LatencyR
     m = len(traj.relay)
     if m < 2:
         raise ValueError("latency is defined for at least two robots")
-    # a single pair relays nothing, so its meetings need not be found
-    phis = communication_instants(traj, chain) if m > 2 else ()
-    return latency_from_phis(phis, traj.horizon)
+    if m == 2:
+        # a single pair relays nothing, so its meetings need not be found
+        return latency_from_phis((), traj.horizon)
+    end = traj.horizon
+    common = _common_cycle([traj.robots[i] for i in traj.relay])
+    if common is not None:
+        anchor, period = common
+        end = min(end, anchor + (m - 1) * period)
+    phis = communication_instants(traj, chain, end)
+    if end < traj.horizon and not all(
+        any(anchor < t <= anchor + period for t in phi) for phi in phis
+    ):
+        # some pair skips a period: relays are not bounded by m - 1 periods
+        end = traj.horizon
+        phis = communication_instants(traj, chain)
+    return latency_from_phis(phis, end)
 
 
 def latency_lower_bounds(partition: Partition) -> tuple[float, float]:

@@ -161,9 +161,11 @@ class PiecewisePath:
 
     def occupancy(self, value, t_end: Fraction | None = None) -> list[Interval]:
         """Merged closed time intervals (possibly instants) where the path
-        sits exactly at ``value``, over [0, t_end]."""
+        sits exactly at ``value``, over [0, t_end] within the horizon."""
         value = Fraction(value)
         t_end = self.horizon if t_end is None else Fraction(t_end)
+        if not 0 <= t_end <= self.horizon:
+            raise ValueError(f"t_end {float(t_end)} outside [0, {float(self.horizon)}]")
         out: list[Interval] = []
         if self.prefix:
             out += [

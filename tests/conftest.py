@@ -211,6 +211,40 @@ def random_image_trajectory(
     )
 
 
+def unrolled(traj: TeamTrajectory) -> TeamTrajectory:
+    """Exact acyclic copy of a team trajectory: each robot's prefix, then its
+    cycle repeated up to the horizon, as explicit ``Fraction`` breakpoints.
+
+    No path of the copy has a period, so the exact evaluators see the whole
+    horizon instead of folding periods; the declared team period keeps the
+    original's boundary-gap cap.
+    """
+    robots = []
+    for path in traj.robots:
+        if path.cycle is None:
+            robots.append(path)
+            continue
+        h = path.horizon
+        pts = list(path.prefix) or [(Fraction(0), path.cycle[0][1])]
+        offset = path.anchor
+        while pts[-1][0] < h:
+            for phase, x in path.cycle[1:]:
+                if offset + phase >= h:
+                    pts.append((h, path.position(h)))
+                    break
+                pts.append((offset + phase, x))
+            offset += path.period
+        robots.append(PiecewisePath.from_breakpoints(pts, h))
+    return TeamTrajectory(
+        robots=tuple(robots),
+        horizon=traj.horizon,
+        period=traj.max_robot_period(),
+        relay=traj.relay,
+        chain=traj.chain,
+        partition=traj.partition,
+    )
+
+
 # ---------------------------------------------------------------------------
 # graph oracle
 

@@ -244,6 +244,7 @@ def test_criterion_07_permanent_failure():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_noise_sweep_trend():
     chain = case_study_chain(30)
     part, _ = optimal_partition_bisect(chain, 10, EPS)

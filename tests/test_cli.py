@@ -89,6 +89,19 @@ class TestSynthEval:
         )
 
 
+    def test_eval_warmup_outside_horizon(self, tmp_path, uniform_file):
+        traj_out = tmp_path / "traj.json"
+        assert dispatch(
+            ["synth", "--roadmap", str(uniform_file), "-m", "4", "--mode", "lat",
+             "--horizon", "40", "--out", str(traj_out)]
+        ) == 0
+        eval_args = ["eval", "--roadmap", str(uniform_file), "--trajectory", str(traj_out),
+                     "--strict", "--out", str(tmp_path / "metrics.json"), "--warmup"]
+        assert dispatch(eval_args + ["0"]) == 0
+        assert dispatch(eval_args + ["-1"]) == 1
+        assert dispatch(eval_args + ["40"]) == 1
+
+
 class TestSimulateDeterminism:
     def test_same_seed_same_bytes(self, tmp_path, uniform_file):
         args = ["simulate", "--roadmap", str(uniform_file), "-m", "4",

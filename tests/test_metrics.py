@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,11 @@ from patrolsim.metrics import (
     refresh_time,
     refresh_time_from_trace,
 )
-from patrolsim.partition import optimal_partition_exact, partition_from_clusters
+from patrolsim.partition import (
+    optimal_partition_bisect,
+    optimal_partition_exact,
+    partition_from_clusters,
+)
 from patrolsim.roadmap import ChainRoadmap
 from patrolsim.trajectories import (
     PiecewisePath,
@@ -24,6 +29,7 @@ from patrolsim.trajectories import (
     min_latency_trajectory,
     min_refresh_trajectory,
     min_up_latency_trajectory,
+    opposite_phase_trajectory,
 )
 
 from conftest import (
@@ -32,6 +38,7 @@ from conftest import (
     random_image_trajectory,
     sampled_latency_oracle,
     singleton_group_instance,
+    unrolled,
 )
 from test_trajectories import chain_with_lengths
 
@@ -99,6 +106,14 @@ class TestRefreshTime:
             robots=tuple(reversed(traj.robots)), horizon=traj.horizon, chain=chain
         )
         assert refresh_time(perm) == refresh_time(traj)
+
+    def test_window_outside_horizon_rejected(self):
+        chain = ChainRoadmap([0, 1, 3, 6])
+        traj = min_refresh_trajectory(optimal_partition_exact(chain, 2), horizon=40)
+        for warmup in (-10, 40, 50):
+            with pytest.raises(ValueError, match="outside"):
+                refresh_time(traj, warmup=warmup, strict=True)
+        assert refresh_time(traj, warmup=10, strict=True) == 6.0
 
     def test_sampled_converges_to_analytic(self, rng):
         chain, part = singleton_group_instance(rng, m=4)
@@ -306,6 +321,125 @@ class TestLatency:
             up, down, overall = naive_propagation(phis, float(traj.horizon))
             assert math.isclose(res.up, up, abs_tol=1e-12)
             assert math.isclose(res.down, down, abs_tol=1e-12)
+
+
+class TestPeriodFolding:
+    """Exact refresh time and latency evaluate a prefix plus a few periods;
+    the oracle is the same trajectory unrolled into explicit breakpoints,
+    which the evaluators cannot fold."""
+
+    @staticmethod
+    def instances():
+        chain = ChainRoadmap([0, 1, 5, 6, 7])
+        parked, _ = optimal_partition_bisect(chain, 4, 1e-9)  # zero-length cluster, parked robot
+        return [
+            chain_with_lengths([2.0, 3.0, 3.0, 2.0]),
+            chain_with_lengths([1.0, 0.0, 3.0, 1.0]),  # zero-length cluster, aggregated group
+            chain_with_lengths([1.5, 1.5, 1.5]),
+            (chain, parked),
+            singleton_group_instance(random.Random(7), m=5),
+        ]
+
+    @pytest.mark.parametrize(
+        "synth",
+        [min_refresh_trajectory, min_up_latency_trajectory, min_latency_trajectory,
+         opposite_phase_trajectory],
+    )
+    def test_folded_equals_unrolled(self, synth):
+        checked = 0
+        for chain, part in self.instances():
+            dim = part.dimension_exact
+            for periods in (Fraction(6), Fraction(22, 3), Fraction(96, 7), Fraction(14)):
+                try:
+                    traj = synth(part, periods * 2 * dim)
+                except ValueError:
+                    continue  # opposite phase needs equal, positive lengths
+                flat = unrolled(traj)
+                for warmup in (0, dim, Fraction(5, 7) * dim):
+                    for strict in (False, True):
+                        assert refresh_time(traj, warmup=warmup, strict=strict) == refresh_time(
+                            flat, warmup=warmup, strict=strict
+                        )
+                if len(traj.relay) >= 2:
+                    assert latency(traj, chain) == latency(flat, chain)
+                    assert communication_instants(traj, chain) == communication_instants(
+                        flat, chain
+                    )
+                checked += 1
+        assert checked >= 4  # opposite phase fits only the equal-length instance
+
+    def test_uneven_revisits_at_every_horizon_residue(self):
+        # robot 0 passes viewpoint 0 at phases 1 and 4 of a period of 10, so
+        # the gaps there alternate 3 and 7 and a window cut short by one
+        # period can miss the 7; robot 1 parks on viewpoint 4
+        chain = ChainRoadmap([0, 4])
+        cycle = [(Fraction(t), Fraction(x)) for t, x in ((0, -1), (2, 1), (3, 1), (5, -1), (10, -1))]
+        for quarters in range(0, 40, 3):
+            h = Fraction(40) + Fraction(quarters, 4)
+            traj = TeamTrajectory(
+                robots=(PiecewisePath(h, cycle=cycle), PiecewisePath.constant(4, h)),
+                horizon=h, chain=chain,
+            )
+            flat = unrolled(traj)
+            for warmup in (0, Fraction(7, 2), 6):
+                for strict in (False, True):
+                    assert refresh_time(traj, warmup=warmup, strict=strict) == refresh_time(
+                        flat, warmup=warmup, strict=strict
+                    )
+
+    def test_pair_that_never_meets_uses_whole_horizon(self):
+        # robots 0 and 1 sit on the shared boundary 1|2 in opposite half
+        # periods, so a downward relay never completes
+        chain = ChainRoadmap([0, 1, 2, 3, 4, 5])
+        h = Fraction(20)
+
+        def sweep(a, b):
+            return PiecewisePath(h, cycle=[(Fraction(0), Fraction(a)), (Fraction(1), Fraction(b)),
+                                           (Fraction(2), Fraction(a))])
+
+        traj = TeamTrajectory(
+            robots=(sweep(0, 1), sweep(2, 3), sweep(5, 4)), horizon=h, chain=chain
+        )
+        assert communication_instants(traj, chain)[0] == (Fraction(0),)
+        res = latency(traj, chain)
+        assert res == latency(unrolled(traj), chain)
+        assert res.down == 19.0  # sourced at t=1, cut off by the horizon
+
+    def test_viewpoint_seen_only_in_prefix_uses_whole_horizon(self):
+        chain = ChainRoadmap([0, 1, 2])
+        h = Fraction(20)
+        path = PiecewisePath(
+            h,
+            prefix=[(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))],
+            cycle=[(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))],
+            anchor=Fraction(1),
+        )
+        traj = TeamTrajectory(robots=(path,), horizon=h, chain=chain)
+        # viewpoint 0 is visited once, at time 0
+        assert refresh_time(traj, strict=True) == 20.0
+        for strict in (False, True):
+            assert refresh_time(traj, strict=strict) == refresh_time(unrolled(traj), strict=strict)
+
+    def test_work_does_not_grow_with_horizon(self, monkeypatch):
+        chain, part = singleton_group_instance(random.Random(3), m=5)
+        occupancy = PiecewisePath.occupancy
+        total = [0]
+
+        def counted(self, value, t_end=None):
+            out = occupancy(self, value, t_end)
+            total[0] += len(out)
+            return out
+
+        monkeypatch.setattr(PiecewisePath, "occupancy", counted)
+        counts = {}
+        for periods in (16, 64):
+            traj = min_latency_trajectory(part, periods * 2 * part.dimension_exact)
+            for name, evaluate in (("refresh", refresh_time), ("latency", latency)):
+                total[0] = 0
+                evaluate(traj, chain)
+                counts[name, periods] = total[0]
+        assert counts["refresh", 16] == counts["refresh", 64] > 0
+        assert counts["latency", 16] == counts["latency", 64] > 0
 
 
 class TestLowerBounds:

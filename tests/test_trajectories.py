@@ -60,6 +60,14 @@ class TestPiecewisePath:
         eps = p.occupancy(Fraction(0))
         assert (Fraction(5), Fraction(7)) in eps
 
+    def test_occupancy_window_within_horizon(self):
+        p = PiecewisePath(Fraction(40), cycle=[(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2)), (Fraction(4), Fraction(0))])
+        assert p.occupancy(0, 40) == p.occupancy(0)
+        assert p.occupancy(2, 9) == [(Fraction(t), Fraction(t)) for t in (2, 6)]
+        for t_end in (60, Fraction(-1)):
+            with pytest.raises(ValueError, match="outside"):
+                p.occupancy(0, t_end)
+
     def test_flatten_round_trip(self):
         p = PiecewisePath(Fraction(9), cycle=[(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2)), (Fraction(4), Fraction(0))])
         pts = p.flatten()
