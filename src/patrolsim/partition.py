@@ -4,12 +4,13 @@ The core objects are interval partitions of the chain's viewpoints into m
 ordered clusters, judged by their *dimension*: the longest coordinate span
 of any single cluster.  Twice the minimum dimension is the best achievable
 refresh time for m sweeping robots, so everything downstream keys off the
-two optimizers here: a linear-time bisection to tolerance ``eps`` and an
-exact quadratic-candidate search used as its oracle.
+two optimizers here: a bisection to tolerance ``eps`` over greedy covers
+and an exact quadratic-candidate search used as its oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +37,8 @@ class Partition:
     clusters: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if [idx for cluster in self.clusters for idx in cluster] == list(range(self.chain.n)):
+            return
         seen: set[int] = set()
         last = -1
         for cluster in self.clusters:
@@ -123,14 +126,21 @@ class BisectionReport:
     partition: Partition = field(repr=False)
 
 
+def _check_rho(rho) -> None:
+    # written so that NaN fails too; -0.0 passes like 0
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho!r}")
+
+
 def left_induced_cardinality(chain: ChainRoadmap, rho: float) -> int:
     """Number of clusters the greedy left-to-right cover of span rho uses."""
-    coords = np.asarray(chain.coordinates)
+    _check_rho(rho)
+    coords = chain.coordinates
     i, k, n = 0, 0, len(coords)
     while i < n:
         k += 1
         # first viewpoint strictly beyond the current cluster's reach
-        i = int(np.searchsorted(coords, coords[i] + rho, side="right"))
+        i = bisect_right(coords, coords[i] + rho, i)
     return k
 
 
@@ -139,16 +149,15 @@ def left_induced_partition(chain: ChainRoadmap, rho: float) -> Partition:
 
     Starting at the first viewpoint, a cluster takes every viewpoint within
     ``rho`` of its anchor; the next cluster anchors at the first viewpoint
-    beyond that reach.  Runs in one pass over the coordinates.
+    beyond that reach.  Each cluster costs one binary search.
     """
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho!r}")
-    coords = np.asarray(chain.coordinates)
+    _check_rho(rho)
+    coords = chain.coordinates
     n = len(coords)
     clusters: list[tuple[int, ...]] = []
     i = 0
     while i < n:
-        j = int(np.searchsorted(coords, coords[i] + rho, side="right"))
+        j = bisect_right(coords, coords[i] + rho, i)
         clusters.append(tuple(range(i, j)))
         i = j
     return Partition(chain, tuple(clusters))
@@ -181,7 +190,7 @@ def optimal_partition_bisect(
         raise ValueError(f"eps must lie in (0, v_n/m) = (0, {v_n / m!r}), got {eps!r}")
     a = 0.0
     b = 2.0 * v_n / m
-    best: Partition | None = None
+    feasible = False
     iterations = 0
     while (b - a) > eps:
         rho = (a + b) / 2.0
@@ -190,10 +199,12 @@ def optimal_partition_bisect(
             a = rho
         else:
             b = rho
-            best = left_induced_partition(chain, rho)
-    # the very first midpoint v_n/m always admits m clusters, so a feasible
-    # partition was recorded before the bracket could collapse
-    assert best is not None and best.cardinality <= m
+            feasible = True
+    # the very first midpoint v_n/m always admits m clusters, so b was
+    # tested feasible before the bracket could collapse
+    assert feasible
+    best = left_induced_partition(chain, b)
+    assert best.cardinality <= m
     assert best.dimension < 2.0 * v_n / m
     padded = best.padded(m)
     return padded, BisectionReport(a=a, b=b, iterations=iterations, eps=eps, partition=padded)

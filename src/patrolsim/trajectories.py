@@ -175,10 +175,12 @@ class PiecewisePath:
             ]
         if self.cycle is not None and t_end > self.anchor:
             base = self._episodes_in(self.cycle, value)
-            # an episode touching both ends of the cycle wraps around
+            # an episode touching both ends of the cycle wraps around into
+            # the next copy; the first copy's head has no copy before it
             if len(base) >= 2 and base[0][0] == 0 and base[-1][1] == self.period:
-                base[-1] = (base[-1][0], self.period + base[0][1])
-                base.pop(0)
+                head = base.pop(0)
+                base[-1] = (base[-1][0], self.period + head[1])
+                out.append((self.anchor, min(self.anchor + head[1], t_end)))
             kmax = (t_end - self.anchor) // self.period
             for k in range(int(kmax) + 1):
                 off = self.anchor + k * self.period

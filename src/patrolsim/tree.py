@@ -188,6 +188,10 @@ def optimal_subtree_collection(
     all positive robot allocations onto them, minimizing the worst tour
     length per robot.  Ties break toward fewer removed edges, then toward
     the lexicographically first edge subset and allocation.
+
+    The search runs in exact integer arithmetic: edge weights are scaled by
+    their common denominator, and the objective 2 W_j / m_j is compared by
+    cross-multiplication.
     """
     if m < 1:
         raise InfeasibleError("need at least one robot")
@@ -197,38 +201,64 @@ def optimal_subtree_collection(
             "use the chain or path-cover approximations for larger instances"
         )
     edges = list(tree.edges)
-    best: tuple | None = None
-    for r in range(0, min(m, len(edges) + 1)):
+    n = tree.n
+    exact = [Fraction(w) for _, _, w in edges]
+    scale = math.lcm(*(w.denominator for w in exact))
+    edge_w = [int(w * scale) for w in exact]
+    # root the tree at vertex 0: ``order`` lists every vertex after its
+    # parent, and up[v] holds v's parent and the index of the edge to it
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v, _) in enumerate(edges):
+        adj[tree.index(u)].append((tree.index(v), i))
+        adj[tree.index(v)].append((tree.index(u), i))
+    order, up = [0], {0: None}
+    for v in order:
+        for u, i in adj[v]:
+            if u not in up:
+                up[u] = (v, i)
+                order.append(u)
+    links = [(v,) + up[v] for v in order[1:]]
+    # removing r edges from a tree leaves exactly r + 1 components
+    allocs = {k: tuple(_compositions(m, k)) for k in range(2, m + 1)}
+
+    # the whole tree ridden by all m robots is the first candidate; the
+    # enumeration runs in (r, removed_idx, alloc) order, so keeping only a
+    # strictly smaller objective keeps the documented tie-breaking
+    best_w, best_m = sum(edge_w), m
+    best = ((), (m,))
+    for r in range(1, min(m, len(edges) + 1)):
         for removed_idx in combinations(range(len(edges)), r):
-            removed = {frozenset((edges[i][0], edges[i][1])) for i in removed_idx}
-            kept = [e for e in edges if frozenset((e[0], e[1])) not in removed]
-            comps = _components(tree.ids, kept)
-            k = len(comps)
-            if k > m:
+            kept = [True] * len(edges)
+            for i in removed_idx:
+                kept[i] = False
+            # label each vertex by the top vertex of its component
+            label = list(range(n))
+            total = [0] * n
+            for v, p, i in links:
+                if kept[i]:
+                    label[v] = label[p]
+                    total[label[p]] += edge_w[i]
+            # components in order of their lowest vertex index, as _components
+            weights = [total[c] for c in dict.fromkeys(label)]
+            # a component of weight w beats the best ratio only with more than
+            # w * best_m / best_w robots; skip subsets that need more than m
+            if best_w == 0 or sum(wj * best_m // best_w + 1 for wj in weights) > m:
                 continue
-            weights = []
-            for comp in comps:
-                vs = set(comp)
-                weights.append(
-                    sum(
-                        (Fraction(w) for u, v, w in kept if u in vs and v in vs),
-                        Fraction(0),
-                    )
-                )
-            for alloc in _compositions(m, k):
-                obj = max(2 * wj / mj for wj, mj in zip(weights, alloc))
-                key = (obj, r, removed_idx, alloc)
-                if best is None or key < best:
-                    best = key
-    assert best is not None
-    _, r, removed_idx, alloc = best
+            for alloc in allocs[r + 1]:
+                # strictly better only when every ratio w/a beats the best
+                for wj, mj in zip(weights, alloc):
+                    if wj * best_m >= best_w * mj:
+                        break
+                else:
+                    best_w, best_m = weights[0], alloc[0]
+                    for wj, mj in zip(weights, alloc):
+                        if wj * best_m > best_w * mj:
+                            best_w, best_m = wj, mj
+                    best = (removed_idx, alloc)
+    removed_idx, alloc = best
     removed = tuple((edges[i][0], edges[i][1]) for i in removed_idx)
-    kept = [
-        e
-        for e in edges
-        if frozenset((e[0], e[1])) not in {frozenset(e) for e in removed}
-    ]
-    comps = tuple(_components(tree.ids, kept))
+    kept_edges = [e for i, e in enumerate(edges) if i not in removed_idx]
+    comps = tuple(_components(tree.ids, kept_edges))
     return SubtreeCollection(
         tree=tree, removed_edges=removed, subtrees=comps, allocation=tuple(alloc)
     )

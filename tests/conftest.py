@@ -9,6 +9,7 @@ values independently of the implementations under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -243,6 +244,60 @@ def unrolled(traj: TeamTrajectory) -> TeamTrajectory:
         chain=traj.chain,
         partition=traj.partition,
     )
+
+
+# ---------------------------------------------------------------------------
+# subtree search oracle
+
+
+def subtree_search_oracle(tree, m: int):
+    """The exhaustive subtree-collection search in plain ``Fraction``
+    arithmetic, with edge subsets as sets of vertex pairs: every removable
+    edge subset, every positive allocation, and the smallest key
+    ``(objective, r, removed_idx, alloc)``.  Returns ``(removed_edges,
+    subtrees, allocation, objective_exact)``."""
+    edges = list(tree.edges)
+
+    def components(kept):
+        comp = {v: {v} for v in tree.ids}
+        for u, v, _ in kept:
+            if comp[u] is not comp[v]:
+                merged = comp[u] | comp[v]
+                for x in merged:
+                    comp[x] = merged
+        seen, out = set(), []
+        for v in tree.ids:  # each component listed from its first vertex
+            if v not in seen:
+                out.append(tuple(x for x in tree.ids if x in comp[v]))
+                seen |= comp[v]
+        return out
+
+    def compositions(total, parts):  # lexicographic order
+        if parts == 1:
+            return [(total,)]
+        return [
+            (first,) + rest
+            for first in range(1, total - parts + 2)
+            for rest in compositions(total - first, parts - 1)
+        ]
+
+    best = None
+    for r in range(min(m, len(edges) + 1)):
+        for removed_idx in itertools.combinations(range(len(edges)), r):
+            removed = {frozenset(edges[i][:2]) for i in removed_idx}
+            kept = [e for e in edges if frozenset(e[:2]) not in removed]
+            comps = components(kept)
+            weights = [
+                sum((Fraction(w) for u, v, w in kept if u in comp and v in comp), Fraction(0))
+                for comp in comps
+            ]
+            for alloc in compositions(m, len(comps)):
+                obj = max(2 * wj / mj for wj, mj in zip(weights, alloc))
+                key = (obj, r, removed_idx, alloc, comps)
+                if best is None or key[:4] < best[:4]:
+                    best = key
+    obj, _, removed_idx, alloc, comps = best
+    return tuple(edges[i][:2] for i in removed_idx), tuple(comps), alloc, obj
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,30 @@ class TestPeriodFolding:
         for strict in (False, True):
             assert refresh_time(traj, strict=strict) == refresh_time(unrolled(traj), strict=strict)
 
+    def test_first_period_keeps_its_head(self):
+        # an episode at a viewpoint that touches both ends of the cycle: the
+        # first copy still starts at the anchor (here time 0)
+        h = Fraction(24)
+        seam = [(Fraction(t), Fraction(x)) for t, x in ((0, 0), (1, 0), (3, 2), (5, 0), (6, 0))]
+        no_prefix = TeamTrajectory(
+            robots=(PiecewisePath(h, cycle=seam), PiecewisePath.constant(2, h)),
+            horizon=h, chain=ChainRoadmap([0, 2]),
+        )
+        # min-latency robots start with a dwell at the cycle's first position
+        chain, part = chain_with_lengths([1.0, 3.0, 1.0, 3.0])
+        for traj in (no_prefix, min_latency_trajectory(part, 48)):
+            flat = unrolled(traj)
+            for path, flat_path in zip(traj.robots, flat.robots):
+                for value in traj.chain.coords_exact:
+                    assert path.occupancy(value) == flat_path.occupancy(value)
+                    assert path.occupancy(value, 12) == flat_path.occupancy(value, 12)
+            for strict in (False, True):
+                assert refresh_time(traj, warmup=0, strict=strict) == refresh_time(
+                    flat, warmup=0, strict=strict
+                )
+        # viewpoint 0 is left at 1 and reached again at 5
+        assert refresh_time(no_prefix, warmup=0, strict=True) == 4.0
+
     def test_work_does_not_grow_with_horizon(self, monkeypatch):
         chain, part = singleton_group_instance(random.Random(3), m=5)
         occupancy = PiecewisePath.occupancy

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from patrolsim.partition import (
     InfeasibleError,
+    Partition,
     left_induced_cardinality,
     left_induced_partition,
     optimal_partition_bisect,
     optimal_partition_exact,
+    partition_from_clusters,
 )
 from patrolsim.roadmap import ChainRoadmap
 
@@ -56,6 +58,36 @@ class TestLeftInduced:
             r2 = rng.uniform(0, chain.length)
             r1, r2 = min(r1, r2), max(r1, r2)
             assert left_induced_cardinality(chain, r1) >= left_induced_cardinality(chain, r2)
+
+
+    @pytest.mark.parametrize("greedy", [left_induced_cardinality, left_induced_partition])
+    @pytest.mark.parametrize("rho", [-1.0, math.nan])
+    def test_negative_or_nan_rho_rejected(self, greedy, rho):
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            greedy(CHAIN_0136, rho)
+
+    def test_negative_zero_rho_acts_as_zero(self):
+        assert left_induced_cardinality(CHAIN_0136, -0.0) == 4
+        assert left_induced_partition(CHAIN_0136, -0.0) == left_induced_partition(CHAIN_0136, 0.0)
+
+
+class TestPartitionValidation:
+    def test_accepts_padded_cover(self):
+        part = partition_from_clusters(CHAIN_0136, ((0, 1), (2, 3), ()))
+        assert part.cardinality == 2
+
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [
+            (((0, 1), (1, 2, 3)), "viewpoint 1 appears in two clusters"),
+            (((0, 2), (1, 3)), "clusters are not interval-ordered"),
+            (((0, 1), (3,)), "clusters do not cover all viewpoints"),
+            (((0, 1, 2, 3, 4),), "clusters do not cover all viewpoints"),
+        ],
+    )
+    def test_rejections(self, clusters, message):
+        with pytest.raises(ValueError, match=message):
+            partition_from_clusters(CHAIN_0136, clusters)
 
 
 class TestExact:
@@ -151,6 +183,42 @@ def test_bisect_exact_property(gaps, data):
     exact = optimal_partition_exact(chain, m)
     gap = part.dimension_exact - exact.dimension_exact
     assert 0 <= gap <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.05, 10.0), min_size=2, max_size=40),
+    data=st.data(),
+)
+def test_bisect_returns_greedy_partition_at_b(gaps, data):
+    coords = [0.0]
+    for g in gaps:
+        coords.append(coords[-1] + g)
+    chain = ChainRoadmap(coords)
+    m = data.draw(st.integers(1, chain.n - 1))
+    eps = data.draw(st.floats(1e-9, 0.5)) * chain.length / m
+    part, rep = optimal_partition_bisect(chain, m, eps)
+    assert part == rep.partition == left_induced_partition(chain, rep.b).padded(m)
+    assert left_induced_cardinality(chain, rep.a) > m
+
+
+def test_bisect_builds_at_most_two_partitions(monkeypatch, rng):
+    # the loop tests spans with the greedy count alone; only the final span
+    # is turned into a partition (and padded), whatever the iteration count
+    built = []
+    validate = Partition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    for _ in range(5):
+        chain = random_chain(rng, n_max=200)
+        built.clear()
+        _, rep = optimal_partition_bisect(chain, rng.randint(1, chain.n - 1), 1e-9)
+        assert rep.iterations >= 20
+        assert len(built) <= 2
 
 
 def test_average_partition_is_not_minmax_optimal():

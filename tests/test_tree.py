@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from patrolsim.tree import (
     optimal_subtree_collection,
 )
 
-from conftest import random_tree
+from conftest import random_tree, subtree_search_oracle
 
 
 def unit_star() -> TreeRoadmap:
@@ -212,6 +213,26 @@ class TestOptimalSubtreeCollection:
             optimal_subtree_collection(big, 2)
         with pytest.raises(InfeasibleError):
             optimal_subtree_collection(unit_star(), 7)
+
+    @pytest.mark.parametrize("weights", ["integer", "dyadic", "uniform"])
+    def test_matches_fraction_oracle(self, weights):
+        # few distinct integer or dyadic weights make many plans tie, so the
+        # tie-breaking order is compared too; uniform floats have large
+        # power-of-two denominators
+        rng = random.Random(f"subtree-{weights}")
+        draw = {
+            "integer": lambda: float(rng.randint(1, 3)),
+            "dyadic": lambda: rng.choice([0.25, 0.5, 0.5, 1.5, 2.75]),
+            "uniform": lambda: rng.uniform(0.2, 3.0),
+        }[weights]
+        for _ in range(10):
+            n = rng.randint(2, 12)
+            ids = [f"v{i}" for i in range(n)]
+            t = TreeRoadmap(ids, [(ids[i], ids[rng.randrange(i)], draw()) for i in range(1, n)])
+            for m in range(1, 7):
+                coll = optimal_subtree_collection(t, m)
+                got = (coll.removed_edges, coll.subtrees, coll.allocation, coll.objective_exact)
+                assert got == subtree_search_oracle(t, m)
 
     def test_plan_document(self):
         coll = optimal_subtree_collection(unit_star(), 2)
