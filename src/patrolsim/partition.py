@@ -190,7 +190,6 @@ def optimal_partition_bisect(
         raise ValueError(f"eps must lie in (0, v_n/m) = (0, {v_n / m!r}), got {eps!r}")
     a = 0.0
     b = 2.0 * v_n / m
-    feasible = False
     iterations = 0
     while (b - a) > eps:
         rho = (a + b) / 2.0
@@ -199,11 +198,9 @@ def optimal_partition_bisect(
             a = rho
         else:
             b = rho
-            feasible = True
-    # the very first midpoint v_n/m always admits m clusters, so b was
-    # tested feasible before the bracket could collapse
-    assert feasible
     best = left_induced_partition(chain, b)
+    # b is the last span tested feasible, or the initial 2 v_n / m, which
+    # admits m clusters as well
     assert best.cardinality <= m
     assert best.dimension < 2.0 * v_n / m
     padded = best.padded(m)

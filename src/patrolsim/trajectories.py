@@ -173,7 +173,7 @@ class PiecewisePath:
                 for s, e in self._episodes_in(self.prefix, value)
                 if s <= t_end
             ]
-        if self.cycle is not None and t_end > self.anchor:
+        if self.cycle is not None and t_end >= self.anchor:
             base = self._episodes_in(self.cycle, value)
             # an episode touching both ends of the cycle wraps around into
             # the next copy; the first copy's head has no copy before it

@@ -150,24 +150,21 @@ class SubtreeCollection:
         }
 
 
-def _components(vertices, kept_edges):
-    index = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
+def _label_components(links, n: int, kept, edge_w):
+    """Label every vertex by the top vertex of its component in the forest
+    of ``kept`` edges, and total each component's scaled edge weight.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v, _ in kept_edges:
-        ra, rb = find(index[u]), find(index[v])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comps: dict[int, list[str]] = {}
-    for v in vertices:
-        comps.setdefault(find(index[v]), []).append(v)
-    return [tuple(comps[k]) for k in sorted(comps)]
+    ``links`` lists ``(vertex, parent, edge index)`` parents first, so one
+    pass labels every vertex.  Listing the distinct labels in vertex order
+    gives the components in order of their lowest vertex index.
+    """
+    label = list(range(n))
+    total = [0] * n
+    for v, p, i in links:
+        if kept[i]:
+            label[v] = label[p]
+            total[label[p]] += edge_w[i]
+    return label, total
 
 
 def _compositions(total: int, parts: int):
@@ -231,14 +228,7 @@ def optimal_subtree_collection(
             kept = [True] * len(edges)
             for i in removed_idx:
                 kept[i] = False
-            # label each vertex by the top vertex of its component
-            label = list(range(n))
-            total = [0] * n
-            for v, p, i in links:
-                if kept[i]:
-                    label[v] = label[p]
-                    total[label[p]] += edge_w[i]
-            # components in order of their lowest vertex index, as _components
+            label, total = _label_components(links, n, kept, edge_w)
             weights = [total[c] for c in dict.fromkeys(label)]
             # a component of weight w beats the best ratio only with more than
             # w * best_m / best_w robots; skip subsets that need more than m
@@ -257,10 +247,16 @@ def optimal_subtree_collection(
                     best = (removed_idx, alloc)
     removed_idx, alloc = best
     removed = tuple((edges[i][0], edges[i][1]) for i in removed_idx)
-    kept_edges = [e for i, e in enumerate(edges) if i not in removed_idx]
-    comps = tuple(_components(tree.ids, kept_edges))
+    kept = [i not in removed_idx for i in range(len(edges))]
+    label, _ = _label_components(links, n, kept, edge_w)
+    comps: dict[int, list[str]] = {}
+    for v, c in enumerate(label):
+        comps.setdefault(c, []).append(tree.ids[v])
     return SubtreeCollection(
-        tree=tree, removed_edges=removed, subtrees=comps, allocation=tuple(alloc)
+        tree=tree,
+        removed_edges=removed,
+        subtrees=tuple(tuple(c) for c in comps.values()),
+        allocation=tuple(alloc),
     )
 
 
