@@ -14,7 +14,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .roadmap import ChainRoadmap, Roadmap, RoadmapError, RoadmapPoint, TreeRoadmap, load_roadmap
+from .roadmap import ChainRoadmap, Roadmap, RoadmapError, TreeRoadmap, load_roadmap
 from .partition import (
     BisectionReport,
     InfeasibleError,
@@ -39,7 +39,6 @@ __all__ = [
     "ChainRoadmap",
     "Roadmap",
     "RoadmapError",
-    "RoadmapPoint",
     "TreeRoadmap",
     "load_roadmap",
     "BisectionReport",

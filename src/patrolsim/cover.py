@@ -25,8 +25,14 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .metrics import max_revisit_gap
 from .partition import InfeasibleError, optimal_partition_bisect
-from .roadmap import ChainRoadmap, Roadmap, RoadmapPoint
-from .trajectories import PiecewisePath, TeamTrajectory, min_refresh_trajectory
+from .roadmap import ChainRoadmap, Roadmap
+from .trajectories import (
+    PiecewisePath,
+    TeamTrajectory,
+    from_grid,
+    min_refresh_trajectory,
+    to_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -43,15 +49,6 @@ class ChainifyResult:
     chain: ChainRoadmap
     back_map: tuple[str, ...]
     edge_lengths: tuple[Fraction, ...]
-
-    def point_on_roadmap(self, coordinate: float) -> RoadmapPoint:
-        """Map a chain coordinate back to a point on the original roadmap."""
-        coords = self.chain.coordinates
-        i = int(np.clip(np.searchsorted(coords, coordinate) - 1, 0, len(coords) - 2))
-        off = coordinate - coords[i]
-        u, v = self.tour[i], self.tour[i + 1]
-        return RoadmapPoint(u, v, min(max(off, 0.0), float(self.edge_lengths[i])),
-                            float(self.edge_lengths[i]))
 
 
 def _graph_mst_edges(g: Roadmap) -> list[tuple[int, int, float]]:
@@ -381,15 +378,20 @@ class CoverTrajectory:
 
     def refresh_time(self) -> float:
         """Exact steady refresh time over the declared path vertices: the
-        longest gap between visits, boundary gaps left out."""
+        longest gap between visits, boundary gaps left out.  Evaluated on
+        the integer time grid of ``trajectories.to_grid``."""
+        D, robots, (horizon, *positions) = to_grid(
+            self.robots, (self.horizon, *(pos for _, cum in self.arcs for pos in cum))
+        )
+        positions = iter(positions)
         episodes: dict[str, list] = {}
-        for path, (vids, cum) in zip(self.robots, self.arcs):
-            for vid, pos in zip(vids, cum):
-                episodes.setdefault(vid, []).extend(path.occupancy(pos))
-        worst = Fraction(0)
+        for path, (vids, _) in zip(robots, self.arcs):
+            for vid in vids:
+                episodes.setdefault(vid, []).extend(path.occupancy(next(positions)))
+        worst = 0
         for eps in episodes.values():
-            worst = max(worst, max_revisit_gap(eps, Fraction(0), self.horizon))
-        return float(worst)
+            worst = max(worst, max_revisit_gap(eps, 0, horizon))
+        return from_grid(worst, D)
 
 
 def exact_path_cover(g: Roadmap, m: int, max_n: int = 8, max_m: int = 3) -> PathCover:

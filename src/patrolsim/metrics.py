@@ -17,7 +17,15 @@ communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
 and the horizon end substitutes when no chain completes.
 
-Exact evaluation folds periods, so its cost does not grow with the
+Exact evaluation runs on one integer time grid per call: ``to_grid``
+rescales every path, viewpoint and window end by the least common
+denominator D of them all, the evaluation below computes on ints, and each
+result is turned back into a float (or, for meeting instants, a
+``Fraction``) once.  A crossing on a segment that is not unit speed, which
+only paths loaded from float breakpoints have, stays an exact ``Fraction``
+between the ints.
+
+Exact evaluation also folds periods, so its cost does not grow with the
 horizon.  Cyclic paths repeat together after their latest anchor A with
 the least common period P (``_common_cycle``).  Refresh time: when every
 path ranging over a viewpoint is cyclic and one cycle reaches it, the
@@ -42,7 +50,13 @@ import numpy as np
 
 from .partition import Partition
 from .roadmap import ChainRoadmap
-from .trajectories import TeamTrajectory, aggregate_clusters, _merge_intervals
+from .trajectories import (
+    TeamTrajectory,
+    _merge_intervals,
+    aggregate_clusters,
+    from_grid,
+    to_grid,
+)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -76,18 +90,14 @@ def max_revisit_gap(eps: list, t0, t1, cap=None, strict: bool = False):
     return max(gaps, default=t0 - t0)
 
 
-def _common_cycle(paths) -> tuple[Fraction, Fraction] | None:
-    """Latest anchor and least common period of cyclic paths, after which
-    all of them repeat together; ``None`` when any path is acyclic."""
+def _common_cycle(paths) -> tuple[int, int] | None:
+    """Latest anchor and least common period of cyclic paths on an integer
+    grid, after which all of them repeat together; ``None`` when any path
+    is acyclic."""
     periods = [p.period for p in paths]
     if not periods or any(q is None for q in periods):
         return None
-    # lcm(a/b, c/d) = lcm(a, c) / gcd(b, d) for fractions in lowest terms
-    period = Fraction(
-        math.lcm(*(q.numerator for q in periods)),
-        math.gcd(*(q.denominator for q in periods)),
-    )
-    return max(p.anchor for p in paths), period
+    return max(p.anchor for p in paths), math.lcm(*periods)
 
 
 def refresh_time(
@@ -115,16 +125,19 @@ def refresh_time(
     if cap is not None and not strict:
         if t1 - t0 < 2 * cap:
             raise ValueError("evaluation window shorter than two team periods")
-    ranges = [p.value_range() for p in traj.robots]
+    D, robots, (t0, t1, cap, *coords) = to_grid(
+        traj.robots, (t0, t1, cap, *chain.coords_exact)
+    )
+    ranges = [p.value_range() for p in robots]
     swept = [
         (min(x for _, x in p.cycle), max(x for _, x in p.cycle)) if p.cycle else None
-        for p in traj.robots
+        for p in robots
     ]
-    worst: Fraction | float = Fraction(0)
-    for c in chain.coords_exact:
+    worst = 0
+    for c in coords:
         holders = [i for i, (lo, hi) in enumerate(ranges) if lo <= c <= hi]
         end = t1
-        common = _common_cycle([traj.robots[i] for i in holders])
+        common = _common_cycle([robots[i] for i in holders])
         if common is not None and any(
             swept[i][0] <= c <= swept[i][1] for i in holders
         ):
@@ -135,11 +148,11 @@ def refresh_time(
             end = t1 - max(0, (t1 - start - 2 * period) // period) * period
         eps: list[Interval] = []
         for i in holders:
-            eps.extend(traj.robots[i].occupancy(c, end))
+            eps.extend(robots[i].occupancy(c, end))
         worst = max(worst, max_revisit_gap(eps, t0, end, cap, strict))
         if worst == math.inf:
             break
-    return float(worst)
+    return from_grid(worst, D)
 
 
 def _intersections(ea: list[Interval], eb: list[Interval]) -> list[Interval]:
@@ -158,6 +171,28 @@ def _intersections(ea: list[Interval], eb: list[Interval]) -> list[Interval]:
     return out
 
 
+def _meeting_instants(robots, relay, coords, t_end) -> list[list]:
+    """Sorted meeting instants in [0, t_end] of each adjacent relay pair,
+    for paths and viewpoints on one integer grid."""
+    ranges = [robots[i].value_range() for i in relay]
+    phis = []
+    for q in range(len(relay) - 1):
+        a, b = robots[relay[q]], robots[relay[q + 1]]
+        (alo, ahi), (blo, bhi) = ranges[q], ranges[q + 1]
+        joint: list[Interval] = []
+        for k in range(len(coords) - 1):
+            u, v = coords[k], coords[k + 1]
+            for pa, pb in ((u, v), (v, u)):
+                if not (alo <= pa <= ahi and blo <= pb <= bhi):
+                    continue
+                ea = a.occupancy(pa, t_end)
+                if ea:
+                    joint += _intersections(ea, b.occupancy(pb, t_end))
+        merged = _merge_intervals(joint)
+        phis.append(sorted({0} | {s for s, _ in merged}))
+    return phis
+
+
 def communication_instants(
     traj: TeamTrajectory, chain: ChainRoadmap | None = None, t_end=None
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,26 +205,14 @@ def communication_instants(
     chain = chain or traj.chain
     if chain is None:
         raise ValueError("a chain roadmap is required to locate viewpoints")
-    coords = chain.coords_exact
-    relay = traj.relay
-    ranges = [traj.robots[i].value_range() for i in relay]
-    phis: list[tuple[Fraction, ...]] = []
-    for q in range(len(relay) - 1):
-        a, b = traj.robots[relay[q]], traj.robots[relay[q + 1]]
-        (alo, ahi), (blo, bhi) = ranges[q], ranges[q + 1]
-        joint: list[Interval] = []
-        for k in range(len(coords) - 1):
-            u, v = coords[k], coords[k + 1]
-            for pa, pb in ((u, v), (v, u)):
-                if not (alo <= pa <= ahi and blo <= pb <= bhi):
-                    continue
-                ea = a.occupancy(pa, t_end)
-                if ea:
-                    joint += _intersections(ea, b.occupancy(pb, t_end))
-        merged = _merge_intervals(joint)
-        instants = sorted({Fraction(0)} | {s for s, _ in merged})
-        phis.append(tuple(instants))
-    return tuple(phis)
+    end = traj.horizon if t_end is None else Fraction(t_end)
+    if not 0 <= end <= traj.horizon:
+        raise ValueError(f"t_end {float(end)} outside [0, {float(traj.horizon)}]")
+    D, robots, (end, *coords) = to_grid(traj.robots, (end, *chain.coords_exact))
+    return tuple(
+        tuple(Fraction(t, D) for t in phi)
+        for phi in _meeting_instants(robots, traj.relay, coords, end)
+    )
 
 
 def propagate_latency(phis, horizon) -> tuple:
@@ -228,19 +251,24 @@ def latency(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> LatencyR
     if m == 2:
         # a single pair relays nothing, so its meetings need not be found
         return latency_from_phis((), traj.horizon)
-    end = traj.horizon
-    common = _common_cycle([traj.robots[i] for i in traj.relay])
+    chain = chain or traj.chain
+    if chain is None:
+        raise ValueError("a chain roadmap is required to locate viewpoints")
+    D, robots, (horizon, *coords) = to_grid(traj.robots, (traj.horizon, *chain.coords_exact))
+    end = horizon
+    common = _common_cycle([robots[i] for i in traj.relay])
     if common is not None:
         anchor, period = common
         end = min(end, anchor + (m - 1) * period)
-    phis = communication_instants(traj, chain, end)
-    if end < traj.horizon and not all(
+    phis = _meeting_instants(robots, traj.relay, coords, end)
+    if end < horizon and not all(
         any(anchor < t <= anchor + period for t in phi) for phi in phis
     ):
         # some pair skips a period: relays are not bounded by m - 1 periods
-        end = traj.horizon
-        phis = communication_instants(traj, chain)
-    return latency_from_phis(phis, end)
+        end = horizon
+        phis = _meeting_instants(robots, traj.relay, coords, end)
+    up, down = (from_grid(t, D) for t in propagate_latency(phis, end))
+    return LatencyResult(up=up, down=down, overall=max(up, down))
 
 
 def latency_lower_bounds(partition: Partition) -> tuple[float, float]:

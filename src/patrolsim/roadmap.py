@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -244,53 +243,6 @@ class ChainRoadmap:
             "vertices": [{"id": vid} for vid in self.ids],
             "coordinates": list(self.coordinates),
         }
-
-
-@dataclass(frozen=True)
-class RoadmapPoint:
-    """A point on an edge: ``offset`` length units from ``u`` toward ``v``.
-
-    A point whose offset sits at either end compares equal to the vertex
-    point there.  On chains a plain scalar coordinate is used instead.
-    """
-
-    u: str
-    v: str
-    offset: float
-    length: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.offset <= self.length:
-            raise RoadmapError(
-                f"offset {self.offset!r} outside edge ({self.u!r}, {self.v!r}) "
-                f"of length {self.length!r}"
-            )
-
-    def canonical(self) -> tuple:
-        if self.offset == 0.0:
-            return ("vertex", self.u)
-        if self.offset == self.length:
-            return ("vertex", self.v)
-        if self.u <= self.v:
-            return ("edge", self.u, self.v, self.offset)
-        return ("edge", self.v, self.u, self.length - self.offset)
-
-    def __eq__(self, other):
-        if not isinstance(other, RoadmapPoint):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
-    @classmethod
-    def at_vertex(cls, g: Roadmap, vid: str) -> "RoadmapPoint":
-        for u, v, w in g.edges:
-            if u == vid:
-                return cls(u, v, 0.0, w)
-            if v == vid:
-                return cls(u, v, w, w)
-        raise RoadmapError(f"vertex {vid!r} has no incident edge")
 
 
 AnyRoadmap = Roadmap | ChainRoadmap

@@ -683,21 +683,3 @@ def case_study_chain(n: int = 30, spacing: float = 1.0) -> ChainRoadmap:
     which the synchronized sweep attains both performance optima exactly.
     """
     return ChainRoadmap([i * spacing for i in range(n)])
-
-
-def bootstrap_partition(
-    chain: ChainRoadmap, positions, eps: float = 1e-9
-) -> tuple[Partition, float]:
-    """Scripted distributed start-up: gather, count, let a leader partition.
-
-    All robots drive to the leftmost viewpoint (the rendezvous fixes the
-    team cardinality and the lowest-index robot becomes leader), then the
-    leader computes the optimal partition every robot adopts.  Returns the
-    partition and the gathering time.
-    """
-    positions = [float(p) for p in positions]
-    if not positions:
-        raise InfeasibleError("no robots to bootstrap")
-    gather_time = max(positions)  # unit speed toward coordinate 0
-    part, _ = optimal_partition_bisect(chain, len(positions), eps)
-    return part, gather_time

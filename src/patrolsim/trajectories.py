@@ -2,10 +2,21 @@
 
 Trajectories are piecewise-linear position-vs-time curves held in exact
 rational arithmetic: breakpoint times and positions are ``Fraction``s built
-from the (float, hence rational) chain coordinates.  That makes the closed
-form performance identities downstream checkable with ``==`` instead of
-tolerances.  Sampling to a fixed-step float trace is a separate, lossy
-operation.
+from the (float, hence rational) chain coordinates, or ints.  That makes
+the closed form performance identities downstream checkable with ``==``
+instead of tolerances.  Sampling to a fixed-step float trace is a separate,
+lossy operation.
+
+The exact evaluators compute on one integer time grid per call rather than
+on ``Fraction``s.  ``to_grid`` takes the least common denominator D of every
+breakpoint time and position, anchor and horizon of the paths and of the
+evaluator's own values (viewpoints, window ends), and rescales each path
+once to integer numerators (``PiecewisePath.scaled``).  On such a path a
+unit-speed crossing of a viewpoint lands on the grid without a division;
+a crossing on a segment of any other speed (only paths loaded from float
+breakpoints have one) stays an exact ``Fraction``, which compares exactly
+with the ints, so no result depends on D.  ``from_grid`` turns a result
+back into a float once, through ``Fraction``: D can exceed the float range.
 
 Three synthesizers are provided: the per-cluster sweep that minimizes the
 refresh time, the staggered sweep that additionally minimizes the one-way
@@ -18,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +41,11 @@ from .partition import InfeasibleError, Partition
 from .roadmap import ChainRoadmap
 
 Interval = tuple[Fraction, Fraction]
+
+
+def _exact(v):
+    """``v`` as an exact rational: ints and ``Fraction``s pass unchanged."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
 def _merge_intervals(items: list[Interval]) -> list[Interval]:
@@ -52,7 +69,8 @@ class PiecewisePath:
     The path is an optional explicit prefix over [0, anchor] followed by a
     repeated cycle of ``period`` starting at ``anchor`` (either part may be
     absent).  Speed never exceeds one; continuity is enforced at every
-    joint.
+    joint.  Times and positions are kept as given when they are ints or
+    ``Fraction``s and converted to ``Fraction`` otherwise.
     """
 
     def __init__(
@@ -62,11 +80,11 @@ class PiecewisePath:
         cycle: Sequence[tuple[Fraction, Fraction]] | None = None,
         anchor: Fraction = Fraction(0),
     ):
-        self.horizon = Fraction(horizon)
-        self.prefix = [(Fraction(t), Fraction(x)) for t, x in prefix]
-        self.anchor = Fraction(anchor)
+        self.horizon = _exact(horizon)
+        self.prefix = [(_exact(t), _exact(x)) for t, x in prefix]
+        self.anchor = _exact(anchor)
         if cycle is not None:
-            cyc = [(Fraction(t), Fraction(x)) for t, x in cycle]
+            cyc = [(_exact(t), _exact(x)) for t, x in cycle]
             cyc = [p for i, p in enumerate(cyc) if i == 0 or p[0] != cyc[i - 1][0]]
             if len(cyc) < 2:
                 raise ValueError("cycle needs at least two distinct breakpoints")
@@ -110,14 +128,27 @@ class PiecewisePath:
 
     @classmethod
     def constant(cls, x, horizon) -> "PiecewisePath":
-        h = Fraction(horizon)
-        xf = Fraction(x)
-        return cls(h, prefix=[(Fraction(0), xf), (h, xf)])
+        return cls(horizon, prefix=[(0, x), (horizon, x)])
 
     @classmethod
     def from_breakpoints(cls, breakpoints, horizon) -> "PiecewisePath":
-        pts = [(Fraction(t), Fraction(x)) for t, x in breakpoints]
-        return cls(Fraction(horizon), prefix=pts, anchor=pts[-1][0])
+        pts = [(_exact(t), _exact(x)) for t, x in breakpoints]
+        return cls(horizon, prefix=pts, anchor=pts[-1][0])
+
+    def scaled(self, D: int) -> "PiecewisePath":
+        """This path with every time and position multiplied by ``D``, a
+        multiple of all their denominators: the same path in integers."""
+
+        def up(pts):
+            return [(t.numerator * (D // t.denominator), x.numerator * (D // x.denominator))
+                    for t, x in pts]
+
+        return PiecewisePath(
+            self.horizon.numerator * (D // self.horizon.denominator),
+            prefix=up(self.prefix),
+            cycle=None if self.cycle is None else up(self.cycle),
+            anchor=self.anchor.numerator * (D // self.anchor.denominator),
+        )
 
     def position(self, t) -> Fraction:
         t = Fraction(t)
@@ -155,15 +186,18 @@ class PiecewisePath:
             else:
                 lo, hi = (x0, x1) if x0 < x1 else (x1, x0)
                 if lo <= value <= hi:
-                    tc = t0 + (value - x0) * (t1 - t0) / (x1 - x0)
+                    if hi - lo == t1 - t0:  # unit speed: no division
+                        tc = t0 + abs(value - x0)
+                    else:
+                        tc = t0 + Fraction(value - x0) * (t1 - t0) / (x1 - x0)
                     eps.append((tc, tc))
         return _merge_intervals(eps)
 
     def occupancy(self, value, t_end: Fraction | None = None) -> list[Interval]:
         """Merged closed time intervals (possibly instants) where the path
         sits exactly at ``value``, over [0, t_end] within the horizon."""
-        value = Fraction(value)
-        t_end = self.horizon if t_end is None else Fraction(t_end)
+        value = _exact(value)
+        t_end = self.horizon if t_end is None else _exact(t_end)
         if not 0 <= t_end <= self.horizon:
             raise ValueError(f"t_end {float(t_end)} outside [0, {float(self.horizon)}]")
         out: list[Interval] = []
@@ -210,6 +244,37 @@ class PiecewisePath:
             if p[0] > dedup[-1][0]:
                 dedup.append(p)
         return dedup
+
+
+def to_grid(paths, values) -> tuple[int, list[PiecewisePath], list]:
+    """The paths and rational ``values`` on one integer time grid.
+
+    Returns D, the least common denominator of every breakpoint time and
+    position, anchor and horizon of ``paths`` and of ``values`` (a ``None``
+    among them passes through), then each path scaled by D and each value
+    times D, all ints.
+    """
+    values = [None if v is None else _exact(v) for v in values]
+    dens = {v.denominator for v in values if v is not None}
+    for p in paths:
+        dens.add(p.horizon.denominator)
+        dens.add(p.anchor.denominator)
+        for t, x in p.prefix + (p.cycle or []):
+            dens.add(t.denominator)
+            dens.add(x.denominator)
+    D = math.lcm(*dens)
+    return (
+        D,
+        [p.scaled(D) for p in paths],
+        [None if v is None else v.numerator * (D // v.denominator) for v in values],
+    )
+
+
+def from_grid(x, D: int) -> float:
+    """A time or length x on the grid of denominator D as a float, rounded
+    once; through ``Fraction`` so that neither x nor D, which can exceed the
+    float range, is ever converted on its own."""
+    return math.inf if x == math.inf else float(Fraction(x, D))
 
 
 @dataclass(frozen=True)

@@ -107,12 +107,6 @@ class TestChainify:
         with pytest.raises(InfeasibleError):
             chainify(tiny)
 
-    def test_point_back_mapping(self):
-        res = chainify(unit_triangle())
-        p = res.point_on_roadmap(0.5)
-        assert {p.u, p.v} <= {"a", "b", "c"}
-        assert p.offset == 0.5
-
 
 class TestChainApproximation:
     def test_unit_triangle_single_robot(self):

@@ -5,16 +5,18 @@ The expected values below were recorded from the evaluator that computed
 in plain ``Fraction`` arithmetic throughout.  The evaluator on an integer
 time grid must reproduce every one of them with ``==``, and still return
 its meeting instants as ``Fraction``s.  The instances cover the four
-synthesizers on a general chain, a random-dwell trajectory (dwells with
-denominators up to 64, so the grid is not dyadic), a JSON round trip (float
-breakpoints, so segment speeds are not exactly one and crossings fall off
-the grid), and a chain with a subnormal coordinate, whose grid denominator
-exceeds 2**1074 and so cannot be turned into a float.
+synthesizers on a general chain and on a chain of thirds and sevenths, a
+random-dwell trajectory (dwells with denominators up to 64, so the grid is
+not dyadic), a JSON round trip (float breakpoints, so segment speeds are
+not exactly one and crossings fall off the grid), and a chain with a
+subnormal coordinate, whose grid denominator exceeds 2**1074 and so cannot
+be turned into a float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from patrolsim.trajectories import (
     min_refresh_trajectory,
     min_up_latency_trajectory,
     opposite_phase_trajectory,
+    to_grid,
 )
 
 from conftest import random_chain, random_image_trajectory, singleton_group_instance
@@ -57,6 +60,13 @@ def instances() -> dict[str, TeamTrajectory]:
         out[f"opposite_phase.{seed}"] = opposite_phase_trajectory(equal, Fraction(41, 2) * d)
         chain, part = singleton_group_instance(rng, m=4)
         out[f"random_image.{seed}"] = random_image_trajectory(rng, part, horizon=9 * part.dimension)
+        # coordinates in quarters and breakpoints in 64ths: a small grid, and
+        # crossings between its points (test_grid_occupancy_is_exact)
+        coords = [0.0]
+        for _ in range(11):
+            coords.append(coords[-1] + rng.randint(1, 6) * 0.25)
+        chain = ChainRoadmap(coords)
+        part, _ = optimal_partition_bisect(chain, 3, 1e-9)
         loaded = TeamTrajectory.from_document(random_float_document(rng, part), chain=chain)
         out[f"from_document.{seed}"] = TeamTrajectory.from_document(
             loaded.to_document(), chain=chain
@@ -64,22 +74,29 @@ def instances() -> dict[str, TeamTrajectory]:
     return out
 
 
-def random_float_document(rng: random.Random, part, sweeps: int = 12) -> dict:
-    """A trajectory document as a user might write it: float breakpoints,
-    each robot sweeping its cluster end to end at speeds in [0.3, 0.9] with
-    random dwells, so viewpoints inside a cluster are crossed at times off
-    any common grid."""
+def random_float_document(rng: random.Random, part, moves: int = 24) -> dict:
+    """A trajectory document as a user might write it: float breakpoints at
+    multiples of 1/64, each robot dwelling, then moving at a speed below
+    0.9, to a random eighth of its cluster on even moves and to its far end
+    on odd ones.  Most viewpoint visits are then crossings between the
+    points of the grid."""
     robots = []
     for i in part.active:
         l, r = part.left(i), part.right(i)
-        t, pts = 0.0, [[0.0, l]]
-        for k in range(sweeps):
-            t += rng.uniform(0.0, 3.0)
-            pts.append([t, pts[-1][1]])
-            t += (r - l) / rng.uniform(0.3, 0.9)
-            pts.append([t, r if k % 2 == 0 else l])
+        t, x, pts = 0.0, l, [[0.0, l]]
+        for k in range(moves):
+            t += max(1, math.ceil(rng.uniform(0.0, 2.0) * 64)) / 64
+            pts.append([t, x])
+            if k % 2:
+                target = r if 2 * x < l + r else l
+            else:
+                target = l + rng.randint(0, round((r - l) * 8)) / 8
+            if target != x:
+                t += math.ceil(abs(target - x) / rng.uniform(0.3, 0.9) * 64) / 64
+                x = target
+                pts.append([t, x])
         robots.append({"id": i, "breakpoints": pts})
-    horizon = min(bp[-1][0] for bp in (rob["breakpoints"] for rob in robots))
+    horizon = min(rob["breakpoints"][-1][0] for rob in robots)
     for rob in robots:
         rob["breakpoints"] = [bp for bp in rob["breakpoints"] if bp[0] < horizon]
         rob["breakpoints"].append([horizon, rob["breakpoints"][-1][1]])
@@ -103,14 +120,15 @@ def observe(traj: TeamTrajectory, digest: bool = False) -> dict:
     """The pinned outputs of one trajectory; with ``digest`` the meeting
     instants are kept as a SHA-256 of their decimal strings."""
     warmup = traj.horizon / 5
-    obs = {
+    refresh = {
         "refresh": refresh_time(traj),
         "refresh_strict": refresh_time(traj, strict=True),
         "refresh_warmup": refresh_time(traj, warmup=warmup),
         "refresh_warmup_strict": refresh_time(traj, warmup=warmup, strict=True),
     }
     lat = latency(traj)
-    obs["latency"] = (lat.up, lat.down, lat.overall)
+    obs = {**refresh, "latency": (lat.up, lat.down, lat.overall)}
+    assert all(type(v) is float for v in (*refresh.values(), *obs["latency"]))
     for key, t_end in (("instants", None), ("instants_t_end", traj.horizon / 3)):
         phis = communication_instants(traj, t_end=t_end)
         assert all(type(t) is Fraction for phi in phis for t in phi)
@@ -120,40 +138,20 @@ def observe(traj: TeamTrajectory, digest: bool = False) -> dict:
     return obs
 
 
-EXPECTED: dict[str, dict] = {'from_document.606': {'instants': ('0 4040317011164595/562949953421312 '
-                                    '7996497994965215/281474976710656',
-                                    '0 1520372166792513/140737488355328 '
-                                    '4929476004722365/281474976710656 '
-                                    '7098325746357283/281474976710656',
-                                    '0 5014037275575943/2251799813685248 '
-                                    '4554801168185933/562949953421312 '
-                                    '5199182204771185/281474976710656 '
-                                    '6455751497067529/281474976710656 '
-                                    '7985578204821527/281474976710656'),
-                       'instants_t_end': ('0 4040317011164595/562949953421312',
-                                          '0',
-                                          '0 5014037275575943/2251799813685248 '
-                                          '4554801168185933/562949953421312'),
-                       'latency': (11.29416098133933,
-                                   26.182587957344417,
-                                   26.182587957344417),
-                       'refresh': 5.764543266648559,
-                       'refresh_strict': 5.764543266648559,
-                       'refresh_warmup': 5.764543266648559,
-                       'refresh_warmup_strict': 5.764543266648559},
- 'from_document.607': {'instants': ('0',
-                                    '0 5507847773552687/562949953421312 '
-                                    '641576424491159/35184372088832',
-                                    '0 3279798196515503/562949953421312 '
-                                    '6259864867585241/281474976710656'),
-                       'instants_t_end': ('0',
-                                          '0 5507847773552687/562949953421312',
-                                          '0 3279798196515503/562949953421312'),
-                       'latency': (0.0, 36.85667553690643, 36.85667553690643),
-                       'refresh': 10.016305490345452,
-                       'refresh_strict': 10.016305490345452,
-                       'refresh_warmup': 10.016305490345452,
-                       'refresh_warmup_strict': 10.016305490345452},
+EXPECTED: dict[str, dict] = {'from_document.606': {'instants': ('0 1669/64', '0 1805/32 255/4'),
+                       'instants_t_end': ('0 1669/64', '0'),
+                       'latency': (30.328125, 43.984375, 43.984375),
+                       'refresh': 33.4375,
+                       'refresh_strict': 56.40625,
+                       'refresh_warmup': 33.4375,
+                       'refresh_warmup_strict': 50.375},
+ 'from_document.607': {'instants': ('0 231/32 2001/32', '0 5247/64'),
+                       'instants_t_end': ('0 231/32', '0'),
+                       'latency': (74.765625, 7.25, 74.765625),
+                       'refresh': 59.265625,
+                       'refresh_strict': 59.265625,
+                       'refresh_warmup': 59.265625,
+                       'refresh_warmup_strict': 59.265625},
  'min_latency.606': {'instants': ('0 1042904959399123/35184372088832 '
                                   '3128714878197369/35184372088832 '
                                   '5214524796995615/35184372088832 '
@@ -391,3 +389,23 @@ def test_subnormal_coordinate(name):
     assert Fraction(traj.chain.coords_exact[1]).denominator == 2**1074
     # the instants run to about 650 digits each, so they are pinned by digest
     assert observe(traj, digest=True) == SUBNORMAL_EXPECTED[name]
+
+
+def test_grid_occupancy_is_exact():
+    # every visit found on the integer grid, mapped back by D, is a time at
+    # which the loaded path sits exactly at the viewpoint
+    off_grid = 0
+    for name, traj in instances().items():
+        if not name.startswith("from_document"):
+            continue
+        coords = traj.chain.coords_exact
+        D, grid, scaled = to_grid(traj.robots, coords)
+        for path, gpath in zip(traj.robots, grid):
+            for c, gc in zip(coords, scaled):
+                eps = gpath.occupancy(gc)
+                off_grid += sum(type(s) is Fraction for s, _ in eps)
+                eps = [(Fraction(s, D), Fraction(e, D)) for s, e in eps]
+                assert eps == path.occupancy(c)
+                for s, e in eps:
+                    assert path.position(s) == c == path.position(e)
+    assert off_grid > 0

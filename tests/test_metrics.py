@@ -336,6 +336,8 @@ class TestPeriodFolding:
             chain_with_lengths([2.0, 3.0, 3.0, 2.0]),
             chain_with_lengths([1.0, 0.0, 3.0, 1.0]),  # zero-length cluster, aggregated group
             chain_with_lengths([1.5, 1.5, 1.5]),
+            # sweep periods 4, 6 and 3: the relay repeats every 12, not 6
+            chain_with_lengths([2.0, 3.0, 1.5]),
             (chain, parked),
             singleton_group_instance(random.Random(7), m=5),
         ]

@@ -11,7 +11,6 @@ from patrolsim.roadmap import (
     MetricViolation,
     Roadmap,
     RoadmapError,
-    RoadmapPoint,
     TreeRoadmap,
     dump_roadmap,
     load_roadmap,
@@ -166,19 +165,3 @@ class TestChainInvariants:
     def test_strictly_increasing(self):
         with pytest.raises(RoadmapError):
             ChainRoadmap([0.0, 2.0, 2.0])
-
-
-class TestRoadmapPoint:
-    def test_endpoint_equals_vertex(self):
-        p1 = RoadmapPoint("a", "b", 0.0, 1.0)
-        p2 = RoadmapPoint("a", "c", 0.0, 2.0)
-        assert p1 == p2  # both are the vertex a
-
-    def test_orientation_canonical(self):
-        p1 = RoadmapPoint("a", "b", 0.25, 1.0)
-        p2 = RoadmapPoint("b", "a", 0.75, 1.0)
-        assert p1 == p2
-
-    def test_offset_bounds(self):
-        with pytest.raises(RoadmapError):
-            RoadmapPoint("a", "b", 1.5, 1.0)

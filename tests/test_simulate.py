@@ -13,7 +13,6 @@ from patrolsim.roadmap import ChainRoadmap
 from patrolsim.simulate import (
     FailureWindow,
     SimConfig,
-    bootstrap_partition,
     case_study_chain,
     evaluate_trace,
     noise_sweep,
@@ -349,16 +348,6 @@ class TestNoise:
             xs = trace.positions[:, i]
             assert xs.min() >= part.left(i) - 1e-9
             assert xs.max() <= part.right(i) + 1e-9
-
-
-class TestBootstrap:
-    def test_leader_partition_matches_direct_computation(self):
-        chain, _ = uniform_case()
-        positions = [4.0, 11.0, 17.0, 28.0]
-        part, gather = bootstrap_partition(chain, positions, eps=1e-9)
-        direct, _ = optimal_partition_bisect(chain, 4, 1e-9)
-        assert part.clusters == direct.clusters
-        assert gather == 28.0
 
 
 class TestTraceExport:
