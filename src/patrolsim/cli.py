@@ -13,12 +13,11 @@ Exit codes: 0 success, 1 validation error, 2 infeasible request.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
-from array import array
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +94,18 @@ def _parse_failures(specs) -> tuple[FailureWindow, ...]:
 def _parse_sigmas(spec: str):
     if ":" in spec:
         lo, hi, step = (float(x) for x in spec.split(":"))
+        if not all(map(math.isfinite, (lo, hi, step))) or step == 0 or (hi - lo) * step < 0:
+            raise ValueError(
+                f"sigmas {spec!r}: lo and hi must be finite and step nonzero, finite and "
+                "pointing from lo to hi"
+            )
         count = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(count)]
-    return [float(x) for x in spec.split(",")]
+        sigmas = [lo + i * step for i in range(count)]
+    else:
+        sigmas = [float(x) for x in spec.split(",")]
+    if not sigmas:
+        raise ValueError(f"sigmas {spec!r} lists no variance")
+    return sigmas
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +128,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.trace and not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError(f"--dt must be positive and finite, got {args.dt!r}")
     chain = _load_chain(args.roadmap, _strict(args))
     part, _ = optimal_partition_bisect(chain, args.robots, args.eps)
     synth = {
@@ -191,33 +201,35 @@ def _read_trace(path):
     """Times (K,) and positions (K, m) from a trace CSV in step-major order:
     each step lists robots 0..m-1 in order under one time, as
     ``Trace.write_csv`` and ``TeamTrajectory.write_trace_csv`` write it."""
-    # floats go into typed arrays row by row: keeping the parsed rows of a
-    # long trace would cost tens of MB
-    t, robot, x = array("d"), [], array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:3] != ["time", "robot", "position"]:
+    # numpy's C parser reads the three leading columns straight into typed
+    # arrays and ignores the rest (dir, event)
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n").split(",")[:3] != ["time", "robot", "position"]:
             raise ValueError(f"{path}: header must start with time,robot,position")
         try:
-            for row in reader:
-                t.append(float(row[0]))
-                robot.append(int(row[1]))
-                x.append(float(row[2]))
-        except IndexError:
-            raise ValueError(f"{path}: a row lacks time, robot or position") from None
-    if not robot:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, delimiter=",", comments=None, usecols=(0, 1, 2),
+                    dtype=[("t", "f8"), ("r", "i8"), ("x", "f8")], ndmin=1,
+                )
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: rows must hold a time, an integer robot and a position: {exc}"
+            ) from None
+    if not len(rows):
         raise ValueError(f"{path}: trace has no rows")
-    robot = np.array(robot)
+    robot = rows["r"]
     m = max(int(robot.max()), 0) + 1
     if len(robot) % m or not np.array_equal(robot, np.tile(np.arange(m), len(robot) // m)):
         raise ValueError(f"{path}: each step must list robots 0..{m - 1} in order")
-    t = np.frombuffer(t).reshape(-1, m)
+    t = rows["t"].reshape(-1, m)
     if (t != t[:, :1]).any():
         raise ValueError(f"{path}: the rows of one step must share one time")
-    times = t[:, 0]
+    times = np.ascontiguousarray(t[:, 0])
     if (np.diff(times) <= 0).any():
         raise ValueError(f"{path}: step times must strictly increase")
-    return times, np.frombuffer(x).reshape(-1, m)
+    return times, np.ascontiguousarray(rows["x"]).reshape(-1, m)
 
 
 def _cmd_sweep(args) -> int:

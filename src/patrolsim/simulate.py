@@ -34,7 +34,7 @@ import numpy as np
 from .metrics import latency_from_phis, refresh_time_from_trace
 from .partition import InfeasibleError, Partition, optimal_partition_bisect
 from .roadmap import ChainRoadmap
-from .trajectories import aggregate_clusters
+from .trajectories import aggregate_clusters, write_trace_rows
 
 
 @dataclass(frozen=True)
@@ -136,33 +136,14 @@ class Trace:
         return k0 * self.config.dt
 
     def write_csv(self, path) -> None:
-        import csv as _csv
-
-        m = self.positions.shape[1]
-        no_events = [""] * m
-        tags: dict[int, list[str]] = {}  # step -> event column of its rows
+        tags: dict[tuple[int, int], str] = {}  # (step, robot) -> event column
         for t, kind, i, j in self.events:
             if i < 0:  # team-wide events (repartition) have no robot row
                 continue
-            row = tags.setdefault(int(round(t / self.config.dt)), [""] * m)
+            key = (int(round(t / self.config.dt)), i)
             tag = f"{kind}:{j}" if kind == "comm" else kind
-            row[i] = (row[i] + "|" + tag).lstrip("|")
-        robots = range(m)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["time", "robot", "position", "dir", "event"])
-            # one step's rows at a time; the writer prints Python floats with
-            # repr, exactly as the numpy float64 values they came from
-            for k, t in enumerate(self.times.tolist()):
-                w.writerows(
-                    zip(
-                        [repr(t)] * m,
-                        robots,
-                        self.positions[k].tolist(),
-                        self.dirs[k].tolist(),
-                        tags.get(k, no_events),
-                    )
-                )
+            tags[key] = f"{tags[key]}|{tag}" if key in tags else tag
+        write_trace_rows(path, self.times, self.positions, self.dirs, tags)
 
 
 def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
@@ -630,6 +611,8 @@ def noise_sweep(
     evaluated on the post-convergence window (or the trailing half of the
     horizon when noise prevents convergence).
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     rows: list[SweepRow] = []
     idx = 0
     for sigma2 in variances:

@@ -27,7 +27,6 @@ of consecutive clusters whose lengths fit within the partition dimension).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -277,6 +276,55 @@ def from_grid(x, D: int) -> float:
     return math.inf if x == math.inf else float(Fraction(x, D))
 
 
+_BLOCK_ROWS = 1 << 15  # CSV rows formatted and written per block
+
+
+def _format_each(values: np.ndarray, template: str = "{!r}") -> np.ndarray:
+    """``template.format(v)`` of every element, as an object array of the
+    same shape, formatting each distinct value once.  Floats are keyed on
+    their bit patterns, so -0.0 and NaN never borrow the text of 0.0."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array(
+        [template.format(v) for v in distinct.view(flat.dtype).tolist()], dtype=object
+    )
+    return text[inverse].reshape(values.shape)
+
+
+def write_trace_rows(path, times, positions, dirs=None, tags=None) -> None:
+    """Write a step-major trace CSV: per step, one row per robot ``0..m-1``.
+
+    Rows are ``time,robot,position`` or, when ``dirs`` (K, m) is given,
+    ``time,robot,position,dir,event`` with the event column taken from
+    ``tags`` ((step, robot) -> text; rows without one leave it empty).  The bytes are those of
+    ``csv.writer``: ``\\r\\n`` line ends and floats printed with ``repr``.
+    Steps are formatted in blocks of about ``_BLOCK_ROWS`` rows, so memory
+    stays bounded however long the trace.
+    """
+    k_all, m = positions.shape
+    tags = tags or {}
+    header = "time,robot,position" + (",dir,event" if dirs is not None else "")
+    robot = np.array([f",{i}," for i in range(m)], dtype=object)
+    block = max(1, _BLOCK_ROWS // m)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        for k0 in range(0, k_all, block):
+            k1 = min(k0 + block, k_all)
+            cells = np.empty((k1 - k0, m, 4), dtype=object)
+            cells[:, :, 0] = _format_each(times[k0:k1])[:, None]
+            cells[:, :, 1] = robot
+            cells[:, :, 2] = _format_each(positions[k0:k1])
+            if dirs is None:
+                cells[:, :, 3] = "\r\n"
+            else:
+                cells[:, :, 3] = _format_each(dirs[k0:k1], ",{!r},\r\n")
+                for (k, i), tag in tags.items():
+                    if k0 <= k < k1:
+                        cells[k - k0, i, 3] = f",{int(dirs[k, i])},{tag}\r\n"
+            fh.write("".join(cells.reshape(-1).tolist()))
+
+
 @dataclass(frozen=True)
 class TeamTrajectory:
     """Per-robot paths over a common horizon plus relay metadata.
@@ -312,6 +360,8 @@ class TeamTrajectory:
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Fixed-step float samples: times (K,), positions (K, m)."""
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"sample step must be positive and finite, got {dt!r}")
         h = float(self.horizon)
         k = int(np.floor(h / dt + 1e-9))
         times = np.arange(k + 1) * dt
@@ -336,13 +386,7 @@ class TeamTrajectory:
         Path(path).write_text(json.dumps(self.to_document(), indent=2) + "\n", "utf-8")
 
     def write_trace_csv(self, path, dt: float) -> None:
-        times, pos = self.sample(dt)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "robot", "position"])
-            for k, t in enumerate(times):
-                for i in range(self.m):
-                    w.writerow([repr(float(t)), i, repr(float(pos[k, i]))])
+        write_trace_rows(path, *self.sample(dt))
 
     @classmethod
     def from_document(cls, doc, horizon=None, chain=None) -> "TeamTrajectory":

@@ -158,6 +158,32 @@ class TestRejectedInputs:
         assert dispatch(eval_args) == 1
 
 
+    @pytest.mark.parametrize(
+        "sigmas, runs",
+        [("0:0.5:0", "2"), ("0:0.5:-0.1", "2"), ("0:0.5:nan", "2"), ("0:inf:0.1", "2"),
+         ("0,0.1", "0")],
+        ids=["zero_step", "step_away_from_hi", "nan_step", "infinite_hi", "zero_runs"],
+    )
+    def test_sweep_rejects_empty_or_endless_grids(self, tmp_path, uniform_file, sigmas, runs):
+        out = tmp_path / "sweep.csv"
+        rc = dispatch(
+            ["sweep", "--roadmap", str(uniform_file), "-m", "4", "--sigmas", sigmas,
+             "--runs", runs, "--horizon", "20", "--out", str(out)]
+        )
+        assert rc == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_synth_rejects_bad_trace_step_before_writing(self, tmp_path, uniform_file, dt):
+        rc = dispatch(
+            ["synth", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "20",
+             "--out", str(tmp_path / "t.json"), "--trace", str(tmp_path / "t.csv"),
+             "--dt", dt]
+        )
+        assert rc == 1
+        assert list(tmp_path.iterdir()) == [uniform_file]
+
+
 class TestOtherCommands:
     def test_sweep_csv(self, tmp_path, uniform_file):
         out = tmp_path / "sweep.csv"

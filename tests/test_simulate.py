@@ -333,6 +333,12 @@ class TestNoise:
         assert rows[0].rt_min == rows[0].rt_max
         assert rows[-1].rt_mean > rows[0].rt_mean
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_sweep_needs_a_run(self, runs):
+        chain, part = uniform_case()
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            noise_sweep(chain, part, [0.0], runs=runs, master_seed=3, dt=DT, horizon=20.0)
+
     def test_identical_seeds_identical_traces(self):
         chain, part = uniform_case()
         s = run_seed(99, 4)

@@ -236,3 +236,10 @@ class TestExport:
         traj.write_trace_csv(out, dt=0.25)
         header = out.read_text().splitlines()[0]
         assert header == "time,robot,position"
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_sample_rejects_bad_step(self, rng, dt):
+        _, part = singleton_group_instance(rng, m=3)
+        traj = min_refresh_trajectory(part, 6 * part.dimension)
+        with pytest.raises(ValueError, match="positive and finite"):
+            traj.sample(dt)
