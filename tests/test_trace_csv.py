@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
+import patrolsim.trajectories as trajectories
 from patrolsim.cli import _read_trace, dispatch
 from patrolsim.partition import optimal_partition_bisect
 from patrolsim.simulate import FailureWindow, SimConfig, Trace, case_study_chain, simulate
@@ -154,8 +155,6 @@ class TestWriter:
         assert text.startswith("time,robot,position,dir,event\r\n0.0,0,-0.0,-1,\r\n0.0,1,nan,")
 
     def test_blocks_join_seamlessly(self, tmp_path, traces, monkeypatch):
-        import patrolsim.trajectories as trajectories
-
         monkeypatch.setattr(trajectories, "_BLOCK_ROWS", 7)  # < m: one step per block
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         trace = traces["c7"]
