@@ -214,8 +214,12 @@ def _read_trace(path):
                     dtype=[("t", "f8"), ("r", "i8"), ("x", "f8")], ndmin=1,
                 )
         except ValueError as exc:
+            # numpy counts rows from after the header, and not the same way
+            # for every error: name the file line instead
+            line = _first_bad_line(path)
+            where = f"line {line}" if line else str(exc)
             raise ValueError(
-                f"{path}: rows must hold a time, an integer robot and a position: {exc}"
+                f"{path}: rows must hold a time, an integer robot and a position: {where}"
             ) from None
     if not len(rows):
         raise ValueError(f"{path}: trace has no rows")
@@ -230,6 +234,21 @@ def _read_trace(path):
     if (np.diff(times) <= 0).any():
         raise ValueError(f"{path}: step times must strictly increase")
     return times, np.ascontiguousarray(rows["x"]).reshape(-1, m)
+
+
+def _first_bad_line(path) -> int | None:
+    """1-based file line of the first data row without a time, an integer
+    robot and a position, or None when every row parses."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno == 1 or not line.strip():
+                continue
+            fields = line.split(",")
+            try:
+                float(fields[0]), int(fields[1]), float(fields[2])
+            except (IndexError, ValueError):
+                return lineno
+    return None
 
 
 def _cmd_sweep(args) -> int:

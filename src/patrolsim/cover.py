@@ -8,6 +8,8 @@ of optimal, where gamma is the longest-to-shortest edge ratio.  The second
 covers the vertices with at most m paths on the metric closure, minimizing
 the longest path by binary search over candidate budgets, and sweeps one
 robot per path; its refresh time is within a constant factor 8 of optimal.
+Both routes walk trees with ``tree._closed_walk``, and a robot sweeping its
+path back and forth rides the closed walk of that path as a tree tour.
 A brute-force minimum path cover is included as the verification oracle
 for the cover costs at desk scale.
 """
@@ -17,22 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .metrics import max_revisit_gap
 from .partition import InfeasibleError, optimal_partition_bisect
 from .roadmap import ChainRoadmap, Roadmap
-from .trajectories import (
-    PiecewisePath,
-    TeamTrajectory,
-    from_grid,
-    min_refresh_trajectory,
-    to_grid,
-)
+from .trajectories import TeamTrajectory, min_refresh_trajectory
+from .tree import TourTeamTrajectory, _closed_walk, _euler_tour
+
+# minmax_path_cover splits walks into segments of at most this many budgets
+SPLIT_FACTOR = 4.0
+# exact_path_cover enumerates vertex subsets and partitions up to this size
+EXACT_MAX_N, EXACT_MAX_M = 8, 3
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,7 @@ def chainify(g: Roadmap) -> ChainifyResult:
     for i in adj:
         adj[i].sort()
     root = min(i for i in adj if len(adj[i]) == 1)
-
-    walk = [root]
-    lengths: list[Fraction] = []
-
-    def visit(v, parent):
-        for u, w in adj[v]:
-            if u == parent:
-                continue
-            walk.append(u)
-            lengths.append(w)
-            visit(u, v)
-            walk.append(v)
-            lengths.append(w)
-
-    visit(root, -1)
+    walk, lengths = _closed_walk(adj, root)
     # drop the trailing walk back from the last newly discovered vertex
     seen: set[int] = set()
     last_new = 0
@@ -109,9 +96,7 @@ def chainify(g: Roadmap) -> ChainifyResult:
     assert len(lengths) <= 2 * g.n - 4
     assert len(walk) <= 2 * g.n - 3
 
-    cum = [Fraction(0)]
-    for w in lengths:
-        cum.append(cum[-1] + w)
+    cum = list(accumulate(lengths, initial=Fraction(0)))
     tour_ids = tuple(g.ids[v] for v in walk)
     chain = ChainRoadmap(cum, ids=tuple(f"c{k}" for k in range(len(cum))))
     return ChainifyResult(
@@ -196,9 +181,11 @@ class PathCover:
         return float(self.cost_exact)
 
     def __post_init__(self):
-        covered = {v for p in self.paths for v in p}
-        if covered < set(self.roadmap.ids):
-            raise ValueError("paths do not cover all vertices")
+        if not all(self.paths):
+            raise ValueError("cover paths must not be empty")
+        covered = [v for p in self.paths for v in p]
+        if sorted(covered) != sorted(self.roadmap.ids):
+            raise ValueError("cover paths must partition the vertex set")
 
     def to_document(self, certificate: dict | None = None) -> dict:
         doc = {
@@ -216,50 +203,26 @@ def _closure_mst(dist: np.ndarray) -> list[tuple[int, int, float]]:
     return [(int(i), int(j), float(w)) for i, j, w in zip(mst.row, mst.col, mst.data)]
 
 
-def _preorder(component: list[int], edges: list[tuple[int, int, float]]) -> list[int]:
-    adj: dict[int, list[int]] = {v: [] for v in component}
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for v in adj:
-        adj[v].sort()
-    root = min(component)
-    order, stack, seen = [], [root], {root}
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in reversed(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return order
-
-
 def _split_cover(dist, mst_edges, budget: float, split_factor: float):
     """Components of the budget-thresholded closure MST, their preorder
-    walks split greedily into segments of cost at most split_factor*budget."""
+    walks split greedily into segments of cost at most split_factor*budget.
+
+    Components come in order of their lowest vertex, each walked from it."""
     n = dist.shape[0]
-    kept = [(i, j, w) for i, j, w in mst_edges if w <= budget]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, _ in kept:
-        ra, rb = find(i), find(j)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comps: dict[int, list[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in mst_edges:
+        if w <= budget:
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+    for nbrs in adj:
+        nbrs.sort()
+    seen: set[int] = set()
     segments: list[list[int]] = []
-    for key in sorted(comps):
-        comp = comps[key]
-        edges = [(i, j, w) for i, j, w in kept if find(i) == key]
-        order = _preorder(comp, edges)
+    for root in range(n):
+        if root in seen:
+            continue
+        order = list(dict.fromkeys(_closed_walk(adj, root)[0]))
+        seen.update(order)
         seg = [order[0]]
         cost = 0.0
         for v in order[1:]:
@@ -274,20 +237,19 @@ def _split_cover(dist, mst_edges, budget: float, split_factor: float):
     return segments
 
 
-def minmax_path_cover(
-    g: Roadmap, m: int, split_factor: float = 4.0
-) -> PathCover:
+def minmax_path_cover(g: Roadmap, m: int) -> PathCover:
     """Heuristic min-max path cover with an empirically enforced 4-factor.
 
     Binary search over candidate budgets (all pairwise distances and their
     doublings): a budget is feasible when the thresholded closure MST
     components, walked in shortcut depth-first order and split greedily
-    into segments of cost at most split_factor*budget, need at most m
-    segments.  Feasibility is monotone in the budget, which the search
-    asserts as it probes.  A final polish shrinks the actual split limit
-    to the smallest feasible value at the chosen budget, which never
-    exceeds split_factor*budget and recovers minimal covers on easy
-    instances.
+    into segments of cost at most SPLIT_FACTOR*budget, need at most m
+    segments.  When even the largest candidate is infeasible, the budget
+    at which the whole shortcut walk is one segment joins the candidates.
+    Feasibility is monotone in the budget, which the search asserts as it
+    probes.  A final polish shrinks the actual split limit to the smallest
+    feasible value at the chosen budget, which never exceeds
+    SPLIT_FACTOR*budget and recovers minimal covers on easy instances.
     """
     if m < 1:
         raise InfeasibleError("need at least one robot")
@@ -305,12 +267,20 @@ def minmax_path_cover(
         return len(_split_cover(dist, mst_edges, budget, limit / max(budget, 1e-300)))
 
     def feasible(budget: float) -> bool:
-        ok = count_segments(budget, split_factor * budget) <= m
+        ok = count_segments(budget, SPLIT_FACTOR * budget) <= m
         probes.append((budget, ok))
         return ok
 
     lo, hi = 0, len(candidates) - 1
-    assert feasible(candidates[hi]), "the full-span budget always fits one walk"
+    if not feasible(candidates[hi]):
+        # the shortcut walk can cost more than SPLIT_FACTOR times the top
+        # candidate, twice the diameter; its cost summed in split order is
+        # exactly the limit that keeps it one segment
+        (walk,) = _split_cover(dist, mst_edges, candidates[hi], math.inf)
+        cost = float(sum(dist[a, b] for a, b in zip(walk, walk[1:])))
+        candidates.append(cost / SPLIT_FACTOR)
+        hi += 1
+        assert feasible(candidates[hi]), "one segment always fits the whole walk"
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(candidates[mid]):
@@ -320,8 +290,8 @@ def minmax_path_cover(
     for (b1, ok1), (b2, ok2) in combinations(sorted(probes), 2):
         assert not (ok1 and not ok2), "feasibility must be monotone in the budget"
     budget = candidates[lo]
-    # shrink the split limit below split_factor*budget while m paths suffice
-    limits = sorted({c for c in candidates if c <= split_factor * budget})
+    # shrink the split limit below SPLIT_FACTOR*budget while m paths suffice
+    limits = sorted({c for c in candidates if c <= SPLIT_FACTOR * budget})
     llo, lhi = 0, len(limits) - 1
     while llo < lhi:
         mid = (llo + lhi) // 2
@@ -331,7 +301,7 @@ def minmax_path_cover(
             llo = mid + 1
     limit = limits[llo]
     if count_segments(budget, limit) > m:
-        limit = split_factor * budget
+        limit = SPLIT_FACTOR * budget
     segments = _split_cover(dist, mst_edges, budget, limit / max(budget, 1e-300))
     assert len(segments) <= m
     return PathCover(
@@ -340,69 +310,36 @@ def minmax_path_cover(
     )
 
 
-def path_cover_trajectory(cover: PathCover, m: int, horizon) -> "CoverTrajectory":
-    """Sweep one robot per cover path back and forth at unit speed."""
+def path_cover_trajectory(cover: PathCover, m: int, horizon) -> TourTeamTrajectory:
+    """Sweep one robot per cover path back and forth at unit speed: each
+    robot rides the closed walk of its path from the path's first vertex."""
     if len(cover.paths) > m:
         raise InfeasibleError(
             f"cover has {len(cover.paths)} paths but only m={m} robots"
         )
-    horizon = Fraction(horizon)
-    robots: list[PiecewisePath] = []
-    arcs: list[tuple[tuple[str, ...], tuple[Fraction, ...]]] = []
     d = cover.roadmap.distance
-    for p in cover.paths:
-        cum = [Fraction(0)]
-        for a, b in zip(p, p[1:]):
-            cum.append(cum[-1] + Fraction(d(a, b)))
-        length = cum[-1]
-        if length == 0:
-            robots.append(PiecewisePath.constant(Fraction(0), horizon))
-        else:
-            robots.append(
-                PiecewisePath(
-                    horizon,
-                    cycle=[(Fraction(0), Fraction(0)), (length, length), (2 * length, Fraction(0))],
-                )
-            )
-        arcs.append((p, tuple(cum)))
-    return CoverTrajectory(robots=tuple(robots), arcs=tuple(arcs), horizon=horizon)
+    return TourTeamTrajectory(
+        tours=tuple(
+            _euler_tour(p, [(a, b, d(a, b)) for a, b in zip(p, p[1:])], p[0])
+            for p in cover.paths
+        ),
+        stationary=tuple(p[0] if len(p) == 1 else None for p in cover.paths),
+        robots=tuple((j, Fraction(0)) for j in range(len(cover.paths))),
+        horizon=Fraction(horizon),
+    )
 
 
-@dataclass(frozen=True)
-class CoverTrajectory:
-    """Per-path sweeps; robot positions are arc coordinates on their path."""
-
-    robots: tuple[PiecewisePath, ...]
-    arcs: tuple[tuple[tuple[str, ...], tuple[Fraction, ...]], ...]
-    horizon: Fraction
-
-    def refresh_time(self) -> float:
-        """Exact steady refresh time over the declared path vertices: the
-        longest gap between visits, boundary gaps left out.  Evaluated on
-        the integer time grid of ``trajectories.to_grid``."""
-        D, robots, (horizon, *positions) = to_grid(
-            self.robots, (self.horizon, *(pos for _, cum in self.arcs for pos in cum))
-        )
-        positions = iter(positions)
-        episodes: dict[str, list] = {}
-        for path, (vids, _) in zip(robots, self.arcs):
-            for vid in vids:
-                episodes.setdefault(vid, []).extend(path.occupancy(next(positions)))
-        worst = 0
-        for eps in episodes.values():
-            worst = max(worst, max_revisit_gap(eps, 0, horizon))
-        return from_grid(worst, D)
-
-
-def exact_path_cover(g: Roadmap, m: int, max_n: int = 8, max_m: int = 3) -> PathCover:
+def exact_path_cover(g: Roadmap, m: int) -> PathCover:
     """Optimal min-max path cover by exhaustive search (the oracle).
 
     Computes minimum Hamiltonian-path costs for every vertex subset by
     dynamic programming, then searches all partitions into at most m parts
     for the one minimizing the largest part cost.
     """
-    if g.n > max_n or m > max_m:
-        raise InfeasibleError(f"exact cover limited to n <= {max_n}, m <= {max_m}")
+    if g.n > EXACT_MAX_N or m > EXACT_MAX_M:
+        raise InfeasibleError(
+            f"exact cover limited to n <= {EXACT_MAX_N}, m <= {EXACT_MAX_M}"
+        )
     if m < 1:
         raise InfeasibleError("need at least one robot")
     n = g.n

@@ -8,11 +8,14 @@ viewpoint visits by interpolation between samples, and is accurate to one
 or two steps.
 
 Refresh time is the longest interval during which some viewpoint goes
-unvisited.  Every refresh-time evaluator, exact or sampled, chain or path
-cover, gathers one viewpoint's visit episodes and hands them to
+unvisited.  Every refresh-time evaluator of chain trajectories, exact or
+sampled, gathers one viewpoint's visit episodes and hands them to
 ``max_revisit_gap``: one interval merge (``_merge_intervals``) and one rule
 for the gaps at the window's ends, in whichever arithmetic the episodes
-use.  Latency is evaluated by message propagation over the per-pair
+use.  Tree tours and path-cover sweeps are rides on closed walks; their
+steady refresh time is the largest circular gap between a vertex's
+positions on the walk (``tree.TourTeamTrajectory.refresh_time``).
+Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
 and the horizon end substitutes when no chain completes.

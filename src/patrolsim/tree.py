@@ -7,6 +7,9 @@ edges, patrol each resulting component with one or more robots equally
 spaced along its tour, and judge the plan by the worst per-component tour
 length divided by its robot count.  At desk scale the search is exhaustive
 over removable edge subsets and robot allocations, which is exact.
+
+``_closed_walk`` is the package's one tree walk: tours, chainification
+and the path cover's preorder walks all take it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -40,7 +43,34 @@ class Tour:
         return occ
 
 
-def _adjacency(vertices, edges):
+def _closed_walk(adj, root):
+    """Closed depth-first walk of a tree: its vertices, ``root`` first and
+    last, and the weight of each step.
+
+    ``adj[v]`` lists ``(neighbour, weight)`` pairs in the order the walk
+    visits v's children; weights are passed through untouched, whatever
+    their type.  The walk keeps its own stack, so a tree of any depth
+    walks.
+    """
+    walk, steps = [root], []
+    stack = [(root, None, None, iter(adj[root]))]
+    while stack:
+        v, parent, w_up, children = stack[-1]
+        for u, w in children:
+            if u != parent:
+                walk.append(u)
+                steps.append(w)
+                stack.append((u, v, w, iter(adj[u])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                walk.append(parent)
+                steps.append(w_up)
+    return walk, steps
+
+
+def _euler_tour(vertices, edges, root) -> Tour:
     index = {v: i for i, v in enumerate(vertices)}
     adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in vertices}
     for u, v, w in edges:
@@ -48,26 +78,8 @@ def _adjacency(vertices, edges):
         adj[v].append((u, Fraction(w)))
     for v in adj:
         adj[v].sort(key=lambda e: index[e[0]])
-    return adj
-
-
-def _euler_tour(vertices, edges, root) -> Tour:
-    adj = _adjacency(vertices, edges)
-    walk = [root]
-    cum = [Fraction(0)]
-
-    def visit(v, parent, base):
-        for u, w in adj[v]:
-            if u == parent:
-                continue
-            walk.append(u)
-            cum.append(cum[-1] + w)
-            visit(u, v, cum[-1])
-            walk.append(v)
-            cum.append(cum[-1] + w)
-
-    visit(root, None, Fraction(0))
-    return Tour(vertices=tuple(walk), cum=tuple(cum))
+    walk, steps = _closed_walk(adj, root)
+    return Tour(vertices=tuple(walk), cum=tuple(accumulate(steps, initial=Fraction(0))))
 
 
 def depth_first_tour(tree: TreeRoadmap) -> Tour:
@@ -134,13 +146,8 @@ class SubtreeCollection:
     def to_document(self) -> dict:
         tours = []
         for j, sub in enumerate(self.subtrees):
-            if len(sub) == 1:
-                tours.append({"vertices": list(sub), "length": 0.0})
-            else:
-                tour = _euler_tour(sub, self.subtree_edges(j), sub[0])
-                tours.append(
-                    {"vertices": list(tour.vertices), "length": float(tour.length)}
-                )
+            tour = _euler_tour(sub, self.subtree_edges(j), sub[0])
+            tours.append({"vertices": list(tour.vertices), "length": float(tour.length)})
         return {
             "removed_edges": [list(e) for e in self.removed_edges],
             "subtrees": [list(s) for s in self.subtrees],
@@ -262,15 +269,16 @@ def optimal_subtree_collection(
 
 @dataclass(frozen=True)
 class TourTeamTrajectory:
-    """Robots riding depth-first tours at unit speed, equally spaced.
+    """Robots riding closed depth-first tours at unit speed.
 
     Each robot's position is its arc coordinate on its own tour; all robots
     of one subtree share the tour and differ by phase offsets of one
-    tour-length fraction.
+    tour-length fraction.  A path-cover robot sweeping its path back and
+    forth rides the closed walk of that path the same way.
     """
 
     tours: tuple[Tour, ...]
-    stationary: tuple[str | None, ...]  # singleton subtrees have no tour
+    stationary: tuple[str | None, ...]  # a single-vertex tour's robots stay put
     robots: tuple[tuple[int, Fraction], ...]  # (subtree index, phase offset)
     horizon: Fraction
 
@@ -278,9 +286,8 @@ class TourTeamTrajectory:
     def m(self) -> int:
         return len(self.robots)
 
-    def refresh_time(self, warmup=0) -> float:
+    def refresh_time(self) -> float:
         """Largest revisit gap over all vertices (exact, steady state)."""
-        warmup = Fraction(warmup)
         worst = Fraction(0)
         by_tree: dict[int, list[Fraction]] = {}
         for j, off in self.robots:
@@ -298,6 +305,8 @@ class TourTeamTrajectory:
         return float(worst)
 
     def sample(self, dt: float):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"sample step must be positive and finite, got {dt!r}")
         h = float(self.horizon)
         k = int(np.floor(h / dt + 1e-9))
         times = np.arange(k + 1) * dt
@@ -360,14 +369,9 @@ def efficient_trajectory(coll: SubtreeCollection, horizon) -> TourTeamTrajectory
     robots: list[tuple[int, Fraction]] = []
     for j, sub in enumerate(coll.subtrees):
         mj = coll.allocation[j]
-        if len(sub) == 1:
-            tours.append(Tour(vertices=(sub[0],), cum=(Fraction(0),)))
-            stationary.append(sub[0])
-            robots.extend((j, Fraction(0)) for _ in range(mj))
-            continue
         tour = _euler_tour(sub, coll.subtree_edges(j), sub[0])
         tours.append(tour)
-        stationary.append(None)
+        stationary.append(sub[0] if len(sub) == 1 else None)
         robots.extend((j, k * tour.length / mj) for k in range(mj))
     traj = TourTeamTrajectory(
         tours=tuple(tours),

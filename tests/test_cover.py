@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations
 
 import pytest
 
 from patrolsim.cover import (
+    PathCover,
     chain_tour_approximation,
     chainify,
     exact_path_cover,
@@ -180,6 +182,32 @@ class TestPathCover:
                 assert cover.cost_exact == 0
             else:
                 assert cover.cost_exact <= 4 * opt.cost_exact
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_walk_longer_than_the_top_candidate(self, m):
+        # at n=40 the shortcut walk often costs more than 4 times the
+        # largest candidate budget, twice the diameter
+        for seed in range(8):
+            g = random_metric_roadmap(random.Random(seed), n_lo=40, n_hi=40)
+            cover = minmax_path_cover(g, m)
+            assert sorted(v for p in cover.paths for v in p) == sorted(g.ids)
+            assert len(cover.paths) <= m
+            traj = path_cover_trajectory(cover, m, horizon=max(4 * cover.cost, 1.0))
+            assert traj.refresh_time() == 2 * cover.cost
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            ((("a", "b", "x"),), "partition"),
+            ((("a", "b"),), "partition"),
+            ((("a", "b", "c", "a"),), "partition"),
+            ((("a", "b", "c"), ()), "empty"),
+        ],
+        ids=["unknown_vertex", "missing_vertex", "repeated_vertex", "empty_path"],
+    )
+    def test_paths_must_partition_the_vertices(self, paths, message):
+        with pytest.raises(ValueError, match=message):
+            PathCover(roadmap=unit_triangle(), paths=paths)
 
 
 class TestExactCover:

@@ -193,10 +193,12 @@ class TestReader:
         "body, message",
         [
             ("", "trace has no rows"),
-            ("0.0,0\r\n", "rows must hold"),
-            ("0.0,1.5,2.0\r\n", "rows must hold"),
+            ("0.0,0\r\n", "rows must hold .*: line 2$"),
+            ("0.0,1.5,2.0\r\n", "rows must hold .*: line 2$"),
+            ("0.0,0,1.0\r\n0.0,1,1.0\r\n1.0,0,1.0\r\n1.0,x,1.0\r\n",
+             "rows must hold .*: line 5$"),
         ],
-        ids=["header_only", "two_fields", "fractional_robot"],
+        ids=["header_only", "two_fields", "fractional_robot", "bad_robot_on_line_5"],
     )
     def test_rejections_name_the_path(self, tmp_path, case_file, capsys, body, message):
         trace = tmp_path / "bad.csv"

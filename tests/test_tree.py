@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from patrolsim.cover import chainify
 from patrolsim.partition import InfeasibleError
 from patrolsim.roadmap import TreeRoadmap
 from patrolsim.tree import (
@@ -94,6 +96,21 @@ class TestDepthFirstTour:
             total = sum((Fraction(w) for _, _, w in t.edges), Fraction(0))
             assert tour.length == 2 * total
 
+    def test_deeper_than_the_recursion_limit(self):
+        # a path rooted at one end walks as deep as it is long
+        k = sys.getrecursionlimit() + 500
+        t = unit_path(k)
+        tour = depth_first_tour(t)
+        assert tour.vertices == t.ids + t.ids[-2::-1]
+        assert tour.cum == tuple(range(2 * k + 1))
+        coll = SubtreeCollection(tree=t, removed_edges=(), subtrees=(t.ids,), allocation=(2,))
+        assert efficient_trajectory(coll, horizon=4 * k).refresh_time() == k
+        doc = coll.to_document()["tours"]
+        assert doc == [{"vertices": list(tour.vertices), "length": 2.0 * k}]
+        res = chainify(t)
+        assert res.tour == t.ids
+        assert res.chain.coords_exact == tuple(range(k + 1))
+
 
 class TestEfficientTrajectory:
     def test_star_two_robots(self):
@@ -128,6 +145,16 @@ class TestEfficientTrajectory:
         )
         traj = efficient_trajectory(coll, horizon=10 * float(depth_first_tour(t).length))
         assert traj.refresh_time() == float(depth_first_tour(t).length)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_sample_rejects_bad_step(self, dt):
+        star = unit_star()
+        coll = SubtreeCollection(
+            tree=star, removed_edges=(), subtrees=(tuple(star.ids),), allocation=(2,)
+        )
+        traj = efficient_trajectory(coll, horizon=30)
+        with pytest.raises(ValueError, match="sample step must be positive and finite"):
+            traj.sample(dt)
 
     def test_zero_allocation_rejected(self):
         p3 = unit_path(3)
