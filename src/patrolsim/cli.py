@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -201,18 +202,11 @@ def _read_trace(path):
     """Times (K,) and positions (K, m) from a trace CSV in step-major order:
     each step lists robots 0..m-1 in order under one time, as
     ``Trace.write_csv`` and ``TeamTrajectory.write_trace_csv`` write it."""
-    # numpy's C parser reads the three leading columns straight into typed
-    # arrays and ignores the rest (dir, event)
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n").split(",")[:3] != ["time", "robot", "position"]:
             raise ValueError(f"{path}: header must start with time,robot,position")
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, delimiter=",", comments=None, usecols=(0, 1, 2),
-                    dtype=[("t", "f8"), ("r", "i8"), ("x", "f8")], ndmin=1,
-                )
+            rows = _parse_rows(fh)
         except ValueError as exc:
             # numpy counts rows from after the header, and not the same way
             # for every error: name the file line instead
@@ -236,18 +230,40 @@ def _read_trace(path):
     return times, np.ascontiguousarray(rows["x"]).reshape(-1, m)
 
 
+def _parse_rows(lines) -> np.ndarray:
+    """Trace rows (time, robot, position) from lines of CSV text."""
+    # numpy's C parser reads the three leading columns straight into typed
+    # arrays and ignores the rest (dir, event)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=(0, 1, 2),
+            dtype=[("t", "f8"), ("r", "i8"), ("x", "f8")], ndmin=1,
+        )
+
+
+_CHECK_LINES = 4096  # lines parsed together while looking for a rejected row
+
+
 def _first_bad_line(path) -> int | None:
-    """1-based file line of the first data row without a time, an integer
-    robot and a position, or None when every row parses."""
+    """1-based file line of the first data row that the trace parser
+    rejects, or None when every row parses.  The rows go through the parser
+    itself, a block at a time and then, in the block that fails, one line
+    at a time, so a field is rejected here exactly when it is rejected
+    there."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno == 1 or not line.strip():
-                continue
-            fields = line.split(",")
+        fh.readline()
+        lineno = 2
+        while block := list(itertools.islice(fh, _CHECK_LINES)):
             try:
-                float(fields[0]), int(fields[1]), float(fields[2])
-            except (IndexError, ValueError):
-                return lineno
+                _parse_rows(block)
+            except ValueError:
+                for k, line in enumerate(block):
+                    try:
+                        _parse_rows([line])
+                    except ValueError:
+                        return lineno + k
+            lineno += len(block)
     return None
 
 

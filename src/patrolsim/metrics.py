@@ -21,10 +21,12 @@ pair must relay through meetings of every subsequent pair in time order,
 and the horizon end substitutes when no chain completes.
 
 Exact evaluation runs on one integer time grid per call: ``to_grid``
-rescales every path, viewpoint and window end by the least common
-denominator D of them all, the evaluation below computes on ints, and each
-result is turned back into a float (or, for meeting instants, a
-``Fraction``) once.  A crossing on a segment that is not unit speed, which
+takes D, the least common multiple of the paths' units, the window ends'
+denominators and the unit of the chain's grid (``ChainRoadmap.grid``), and
+puts the paths, window ends and the chain's grid coordinates on it as
+ints, without rescaling the rational coordinates on every call.  The
+evaluation below computes on ints, and each result is turned back into a
+float (or, for meeting instants, a ``Fraction``) once.  A crossing on a segment that is not unit speed, which
 only paths loaded from float breakpoints have, stays an exact ``Fraction``
 between the ints.
 
@@ -128,9 +130,7 @@ def refresh_time(
     if cap is not None and not strict:
         if t1 - t0 < 2 * cap:
             raise ValueError("evaluation window shorter than two team periods")
-    D, robots, (t0, t1, cap, *coords) = to_grid(
-        traj.robots, (t0, t1, cap, *chain.coords_exact)
-    )
+    D, robots, (t0, t1, cap, *coords) = to_grid(traj.robots, (t0, t1, cap), chain)
     ranges = [p.value_range() for p in robots]
     swept = [
         (min(x for _, x in p.cycle), max(x for _, x in p.cycle)) if p.cycle else None
@@ -211,7 +211,7 @@ def communication_instants(
     end = traj.horizon if t_end is None else Fraction(t_end)
     if not 0 <= end <= traj.horizon:
         raise ValueError(f"t_end {float(end)} outside [0, {float(traj.horizon)}]")
-    D, robots, (end, *coords) = to_grid(traj.robots, (end, *chain.coords_exact))
+    D, robots, (end, *coords) = to_grid(traj.robots, (end,), chain)
     return tuple(
         tuple(Fraction(t, D) for t in phi)
         for phi in _meeting_instants(robots, traj.relay, coords, end)
@@ -257,7 +257,7 @@ def latency(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> LatencyR
     chain = chain or traj.chain
     if chain is None:
         raise ValueError("a chain roadmap is required to locate viewpoints")
-    D, robots, (horizon, *coords) = to_grid(traj.robots, (traj.horizon, *chain.coords_exact))
+    D, robots, (horizon, *coords) = to_grid(traj.robots, (traj.horizon,), chain)
     end = horizon
     common = _common_cycle([robots[i] for i in traj.relay])
     if common is not None:

@@ -30,7 +30,8 @@ class Partition:
     ``clusters`` holds viewpoint indices; trailing entries may be empty.
     Cluster extremes and lengths are exposed both as floats and as exact
     rationals (floats are views of the same coordinate values, so the two
-    never disagree after rounding).
+    never disagree after rounding); the exact lengths are read off the
+    chain's integer grid (``ChainRoadmap.grid``).
     """
 
     chain: ChainRoadmap
@@ -76,20 +77,29 @@ class Partition:
             return 0.0
         return self.right(i) - self.left(i)
 
+    def grid_length(self, i: int) -> int:
+        """Length of cluster i on the chain's grid: times its unit U."""
+        cluster = self.clusters[i]
+        if not cluster:
+            return 0
+        xs = self.chain.grid[1]
+        return xs[cluster[-1]] - xs[cluster[0]]
+
     def length_exact(self, i: int) -> Fraction:
-        if not self.clusters[i]:
-            return Fraction(0)
-        c = self.chain.coords_exact
-        return c[self.clusters[i][-1]] - c[self.clusters[i][0]]
+        return Fraction(self.grid_length(i), self.chain.grid[0])
 
     @property
     def dimension(self) -> float:
         return float(self.dimension_exact)
 
     @property
+    def grid_dimension(self) -> int:
+        """The dimension on the chain's grid: times its unit U."""
+        return max((self.grid_length(i) for i in range(self.m)), default=0)
+
+    @property
     def dimension_exact(self) -> Fraction:
-        dims = [self.length_exact(i) for i in range(self.m)]
-        return max(dims) if dims else Fraction(0)
+        return Fraction(self.grid_dimension, self.chain.grid[0])
 
     def lengths(self) -> tuple[float, ...]:
         return tuple(self.length(i) for i in range(self.m))

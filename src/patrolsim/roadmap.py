@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -171,8 +172,12 @@ class ChainRoadmap:
 
     The first coordinate is pinned to zero; consecutive coordinate gaps are
     the (implicit) edge lengths.  Coordinates are kept exactly as loaded;
-    ``coords_exact`` exposes them as rationals for the exact trajectory and
-    metric computations.
+    ``coords_exact`` exposes them as rationals.  The exact trajectory and
+    metric computations read them on the chain's integer grid instead:
+    ``grid`` is (U, xs), where the unit U is the least common denominator of
+    the coordinates and each ``xs[i] = coords_exact[i] * U`` is an int.  It
+    is computed on first use, so building a chain that is never synthesized
+    on (the planners build them with 1e5 viewpoints) costs nothing more.
     """
 
     kind = "chain"
@@ -203,6 +208,11 @@ class ChainRoadmap:
                 raise RoadmapError("duplicate vertex ids")
         self.ids = ids
         self._index = {vid: i for i, vid in enumerate(ids)}
+
+    @cached_property
+    def grid(self) -> tuple[int, tuple[int, ...]]:
+        unit = math.lcm(*(c.denominator for c in self.coords_exact))
+        return unit, tuple(c.numerator * (unit // c.denominator) for c in self.coords_exact)
 
     @property
     def n(self) -> int:

@@ -1,17 +1,24 @@
 """Synthesis of synchronized sweep trajectories on a partitioned chain.
 
-Trajectories are piecewise-linear position-vs-time curves held in exact
-rational arithmetic: breakpoint times and positions are ``Fraction``s built
-from the (float, hence rational) chain coordinates, or ints.  That makes
-the closed form performance identities downstream checkable with ``==``
-instead of tolerances.  Sampling to a fixed-step float trace is a separate,
-lossy operation.
+Trajectories are piecewise-linear position-vs-time curves held exactly, on
+integer grids.  A ``PiecewisePath`` keeps its breakpoint times and
+positions, anchor and horizon as ints counting steps of 1 / ``unit``; its
+views return them as exact rationals.  That makes the closed form
+performance identities downstream checkable with ``==`` instead of
+tolerances.  Sampling to a fixed-step float trace is a separate, lossy
+operation.
 
-The exact evaluators compute on one integer time grid per call rather than
-on ``Fraction``s.  ``to_grid`` takes the least common denominator D of every
-breakpoint time and position, anchor and horizon of the paths and of the
-evaluator's own values (viewpoints, window ends), and rescales each path
-once to integer numerators (``PiecewisePath.scaled``).  On such a path a
+The synthesizers read the chain's grid (``ChainRoadmap.grid``: a unit U,
+the least common denominator of the coordinates, and each coordinate
+times U as an int) and build every path on D, the least common multiple
+of U and the horizon's denominator, in int arithmetic: no ``Fraction``
+arithmetic runs between the chain coordinates and the metrics.
+
+The exact evaluators compute on one integer time grid per call too.
+``to_grid`` takes the least common multiple D of the paths' units, of the
+denominators of the evaluator's own values (window ends) and of the
+chain's unit, and puts each path on it once: a path already on D keeps
+its ints, any other path multiplies them by D // unit.  On such a path a
 unit-speed crossing of a viewpoint lands on the grid without a division;
 a crossing on a segment of any other speed (only paths loaded from float
 breakpoints have one) stays an exact ``Fraction``, which compares exactly
@@ -32,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -68,61 +74,86 @@ class PiecewisePath:
     The path is an optional explicit prefix over [0, anchor] followed by a
     repeated cycle of ``period`` starting at ``anchor`` (either part may be
     absent).  Speed never exceeds one; continuity is enforced at every
-    joint.  Times and positions are kept as given when they are ints or
-    ``Fraction``s and converted to ``Fraction`` otherwise.
+    joint.
+
+    The path is held on an integer grid: every breakpoint time and
+    position, the anchor and the horizon are ints counting steps of
+    1 / ``unit``.  The constructor takes ints, ``Fraction``s and floats
+    (floats are exact rationals) and finds the least unit that holds them
+    all; ``on_grid`` takes a unit and the ints as they are.  Either way the
+    path is validated once, on the ints.  The views (``horizon``, ``prefix``,
+    ``position``, ``occupancy``, ...) return exact rationals: ``Fraction``s,
+    or ints on a path of unit 1.
     """
 
-    def __init__(
-        self,
-        horizon: Fraction,
-        prefix: Sequence[tuple[Fraction, Fraction]] = (),
-        cycle: Sequence[tuple[Fraction, Fraction]] | None = None,
-        anchor: Fraction = Fraction(0),
-    ):
-        self.horizon = _exact(horizon)
-        self.prefix = [(_exact(t), _exact(x)) for t, x in prefix]
-        self.anchor = _exact(anchor)
+    def __init__(self, horizon, prefix=(), cycle=None, anchor=0):
+        horizon, anchor = _exact(horizon), _exact(anchor)
+        prefix = [(_exact(t), _exact(x)) for t, x in prefix]
+        cycle = None if cycle is None else [(_exact(t), _exact(x)) for t, x in cycle]
+        unit = math.lcm(
+            horizon.denominator,
+            anchor.denominator,
+            *(v.denominator for pt in prefix + (cycle or []) for v in pt),
+        )
+
+        def up(pts):
+            return [(t.numerator * (unit // t.denominator), x.numerator * (unit // x.denominator))
+                    for t, x in pts]
+
+        self._build(
+            unit,
+            horizon.numerator * (unit // horizon.denominator),
+            up(prefix),
+            None if cycle is None else up(cycle),
+            anchor.numerator * (unit // anchor.denominator),
+        )
+
+    @classmethod
+    def on_grid(cls, unit: int, horizon: int, prefix=(), cycle=None, anchor: int = 0):
+        """The path whose breakpoint times and positions, anchor and horizon
+        are the given ints, in steps of 1 / ``unit``."""
+        path = cls.__new__(cls)
+        path._build(unit, horizon, list(prefix), None if cycle is None else list(cycle), anchor)
+        return path
+
+    def _build(self, unit, horizon, prefix, cycle, anchor):
+        self.unit = unit
+        self._horizon, self._prefix, self._anchor = horizon, prefix, anchor
+        self._cycle = self._period = None
         if cycle is not None:
-            cyc = [(_exact(t), _exact(x)) for t, x in cycle]
-            cyc = [p for i, p in enumerate(cyc) if i == 0 or p[0] != cyc[i - 1][0]]
+            cyc = cycle[:1] + [p for q, p in zip(cycle, cycle[1:]) if p[0] != q[0]]
             if len(cyc) < 2:
                 raise ValueError("cycle needs at least two distinct breakpoints")
             if cyc[0][0] != 0:
                 raise ValueError("cycle must start at phase 0")
             if cyc[0][1] != cyc[-1][1]:
                 raise ValueError("cycle endpoints must match for periodicity")
-            self.cycle = cyc
-            self.period: Fraction | None = cyc[-1][0]
-        else:
-            self.cycle = None
-            self.period = None
+            self._cycle, self._period = cyc, cyc[-1][0]
         self._validate()
 
     def _validate(self):
-        if self.horizon <= 0:
+        if self._horizon <= 0:
             raise ValueError("horizon must be positive")
-        segs = list(zip(self.prefix, self.prefix[1:]))
-        if self.cycle:
-            segs += list(zip(self.cycle, self.cycle[1:]))
-        for (t0, x0), (t1, x1) in segs:
-            if t1 <= t0:
-                raise ValueError("breakpoint times must be strictly increasing")
-            if abs(x1 - x0) > (t1 - t0):
-                raise ValueError(
-                    f"segment from {float(t0)} to {float(t1)} exceeds unit speed"
-                )
-        if self.prefix and self.prefix[0][0] != 0:
+        for pts in (self._prefix, self._cycle or ()):
+            for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
+                if t1 <= t0:
+                    raise ValueError("breakpoint times must be strictly increasing")
+                if abs(x1 - x0) > t1 - t0:
+                    raise ValueError(
+                        f"segment from {t0 / self.unit} to {t1 / self.unit} exceeds unit speed"
+                    )
+        if self._prefix and self._prefix[0][0] != 0:
             raise ValueError("prefix must start at time 0")
-        if self.cycle is not None:
-            if self.prefix:
-                if self.prefix[-1][0] != self.anchor:
+        if self._cycle is not None:
+            if self._prefix:
+                if self._prefix[-1][0] != self._anchor:
                     raise ValueError("prefix must end exactly at the cycle anchor")
-                if self.prefix[-1][1] != self.cycle[0][1]:
+                if self._prefix[-1][1] != self._cycle[0][1]:
                     raise ValueError("prefix and cycle disagree at the anchor")
-            elif self.anchor != 0:
+            elif self._anchor != 0:
                 raise ValueError("nonzero anchor requires a prefix")
         else:
-            if not self.prefix or self.prefix[-1][0] < self.horizon:
+            if not self._prefix or self._prefix[-1][0] < self._horizon:
                 raise ValueError("acyclic path must cover the whole horizon")
 
     @classmethod
@@ -134,46 +165,81 @@ class PiecewisePath:
         pts = [(_exact(t), _exact(x)) for t, x in breakpoints]
         return cls(horizon, prefix=pts, anchor=pts[-1][0])
 
-    def scaled(self, D: int) -> "PiecewisePath":
-        """This path with every time and position multiplied by ``D``, a
-        multiple of all their denominators: the same path in integers."""
+    def _scaled(self, k: int) -> "PiecewisePath":
+        """This path with every int multiplied by ``k``, on unit 1: the same
+        path on the grid of denominator ``k * unit``.  Scaling keeps a valid
+        path valid, and with k = 1 the ints are shared, not copied."""
 
         def up(pts):
-            return [(t.numerator * (D // t.denominator), x.numerator * (D // x.denominator))
-                    for t, x in pts]
+            return pts if k == 1 else [(t * k, x * k) for t, x in pts]
 
-        return PiecewisePath(
-            self.horizon.numerator * (D // self.horizon.denominator),
-            prefix=up(self.prefix),
-            cycle=None if self.cycle is None else up(self.cycle),
-            anchor=self.anchor.numerator * (D // self.anchor.denominator),
-        )
+        path = PiecewisePath.__new__(PiecewisePath)
+        path.unit = 1
+        path._horizon, path._anchor = self._horizon * k, self._anchor * k
+        path._prefix = up(self._prefix)
+        path._cycle = None if self._cycle is None else up(self._cycle)
+        path._period = None if self._period is None else self._period * k
+        return path
 
-    def position(self, t) -> Fraction:
+    # views: grid values back as exact rationals
+
+    def _value(self, v):
+        return v if self.unit == 1 else Fraction(v, self.unit)
+
+    def _points(self, pts) -> list:
+        if self.unit == 1:
+            return list(pts)
+        u = self.unit
+        return [(Fraction(t, u), Fraction(x, u)) for t, x in pts]
+
+    @property
+    def horizon(self):
+        return self._value(self._horizon)
+
+    @property
+    def anchor(self):
+        return self._value(self._anchor)
+
+    @property
+    def period(self):
+        return None if self._period is None else self._value(self._period)
+
+    @property
+    def prefix(self) -> list:
+        return self._points(self._prefix)
+
+    @property
+    def cycle(self) -> list | None:
+        return None if self._cycle is None else self._points(self._cycle)
+
+    def position(self, t):
         t = Fraction(t)
         if t < 0 or t > self.horizon:
             raise ValueError(f"time {float(t)} outside [0, {float(self.horizon)}]")
-        pts = None
-        if t <= self.anchor and self.prefix:
-            pts = self.prefix
-        elif self.cycle is not None:
-            k = (t - self.anchor) // self.period
-            t = t - self.anchor - k * self.period
-            pts = self.cycle
+        return self._value(self._position(t * self.unit))
+
+    def _position(self, t):
+        """Position at grid time t, on the grid (an int, or a ``Fraction``
+        between grid points)."""
+        if t <= self._anchor and self._prefix:
+            pts = self._prefix
+        elif self._cycle is not None:
+            t = (t - self._anchor) % self._period
+            pts = self._cycle
         else:
-            pts = self.prefix
+            pts = self._prefix
         for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
             if t0 <= t <= t1:
                 if t == t0:
                     return x0
-                return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
+                return x0 + Fraction((x1 - x0) * (t - t0), t1 - t0)
         return pts[-1][1]
 
-    def value_range(self) -> tuple[Fraction, Fraction]:
-        xs = [x for _, x in self.prefix]
-        if self.cycle:
-            xs += [x for _, x in self.cycle]
-        return min(xs), max(xs)
+    def value_range(self) -> tuple:
+        xs = [x for _, x in self._prefix]
+        if self._cycle:
+            xs += [x for _, x in self._cycle]
+        return self._value(min(xs)), self._value(max(xs))
 
     @staticmethod
     def _episodes_in(pts, value) -> list[Interval]:
@@ -192,31 +258,36 @@ class PiecewisePath:
                     eps.append((tc, tc))
         return _merge_intervals(eps)
 
-    def occupancy(self, value, t_end: Fraction | None = None) -> list[Interval]:
+    def occupancy(self, value, t_end=None) -> list[Interval]:
         """Merged closed time intervals (possibly instants) where the path
         sits exactly at ``value``, over [0, t_end] within the horizon."""
-        value = _exact(value)
-        t_end = self.horizon if t_end is None else _exact(t_end)
-        if not 0 <= t_end <= self.horizon:
+        u = self.unit
+        end = self._horizon if t_end is None else _exact(t_end) * u
+        if not 0 <= end <= self._horizon:
             raise ValueError(f"t_end {float(t_end)} outside [0, {float(self.horizon)}]")
+        eps = self._occupancy(_exact(value) * u, end)
+        return eps if u == 1 else [(Fraction(s, u), Fraction(e, u)) for s, e in eps]
+
+    def _occupancy(self, value, t_end) -> list[Interval]:
         out: list[Interval] = []
-        if self.prefix:
+        if self._prefix:
             out += [
                 (s, min(e, t_end))
-                for s, e in self._episodes_in(self.prefix, value)
+                for s, e in self._episodes_in(self._prefix, value)
                 if s <= t_end
             ]
-        if self.cycle is not None and t_end >= self.anchor:
-            base = self._episodes_in(self.cycle, value)
+        if self._cycle is not None and t_end >= self._anchor:
+            anchor, period = self._anchor, self._period
+            base = self._episodes_in(self._cycle, value)
             # an episode touching both ends of the cycle wraps around into
             # the next copy; the first copy's head has no copy before it
-            if len(base) >= 2 and base[0][0] == 0 and base[-1][1] == self.period:
+            if len(base) >= 2 and base[0][0] == 0 and base[-1][1] == period:
                 head = base.pop(0)
-                base[-1] = (base[-1][0], self.period + head[1])
-                out.append((self.anchor, min(self.anchor + head[1], t_end)))
-            kmax = (t_end - self.anchor) // self.period
+                base[-1] = (base[-1][0], period + head[1])
+                out.append((anchor, min(anchor + head[1], t_end)))
+            kmax = (t_end - anchor) // period
             for k in range(int(kmax) + 1):
-                off = self.anchor + k * self.period
+                off = anchor + k * period
                 for s, e in base:
                     if off + s <= t_end:
                         out.append((off + s, min(off + e, t_end)))
@@ -224,20 +295,22 @@ class PiecewisePath:
 
     def flatten(self) -> list[tuple[float, float]]:
         """Explicit float breakpoints covering [0, horizon] (for export)."""
-        pts: list[tuple[Fraction, Fraction]] = list(self.prefix)
-        if self.cycle is not None:
-            t = self.anchor
+        pts = list(self._prefix)
+        if self._cycle is not None:
+            t = self._anchor
             if not pts:
-                pts.append((Fraction(0), self.cycle[0][1]))
-            while t < self.horizon:
-                for phi, x in self.cycle[1:]:
+                pts.append((0, self._cycle[0][1]))
+            while t < self._horizon:
+                for phi, x in self._cycle[1:]:
                     tt = t + phi
-                    if tt >= self.horizon:
-                        pts.append((self.horizon, self.position(self.horizon)))
+                    if tt >= self._horizon:
+                        pts.append((self._horizon, self._position(self._horizon)))
                         break
                     pts.append((tt, x))
-                t = t + self.period
-        out = [(float(t), float(x)) for t, x in pts]
+                t += self._period
+        # int / int and Fraction / int round once, as float(Fraction) does
+        u = self.unit
+        out = [(t / u, float(x / u)) for t, x in pts]
         dedup = [out[0]]
         for p in out[1:]:
             if p[0] > dedup[-1][0]:
@@ -245,28 +318,28 @@ class PiecewisePath:
         return dedup
 
 
-def to_grid(paths, values) -> tuple[int, list[PiecewisePath], list]:
-    """The paths and rational ``values`` on one integer time grid.
+def to_grid(paths, values, chain: ChainRoadmap | None = None) -> tuple[int, list, list]:
+    """The paths, rational ``values`` and chain coordinates on one integer
+    grid.
 
-    Returns D, the least common denominator of every breakpoint time and
-    position, anchor and horizon of ``paths`` and of ``values`` (a ``None``
-    among them passes through), then each path scaled by D and each value
-    times D, all ints.
+    D is the least common multiple of the paths' units, of the denominators
+    of ``values`` (a ``None`` among them passes through) and, with a
+    ``chain``, of the unit U of its grid.  Returns D, each path on unit 1
+    with its ints times D // unit (a path already on D keeps its ints),
+    then each value times D followed by the chain's grid coordinates times
+    D // U, all ints.
     """
     values = [None if v is None else _exact(v) for v in values]
-    dens = {v.denominator for v in values if v is not None}
-    for p in paths:
-        dens.add(p.horizon.denominator)
-        dens.add(p.anchor.denominator)
-        for t, x in p.prefix + (p.cycle or []):
-            dens.add(t.denominator)
-            dens.add(x.denominator)
-    D = math.lcm(*dens)
-    return (
-        D,
-        [p.scaled(D) for p in paths],
-        [None if v is None else v.numerator * (D // v.denominator) for v in values],
-    )
+    units = [p.unit for p in paths] + [v.denominator for v in values if v is not None]
+    if chain is not None:
+        unit, xs = chain.grid
+        units.append(unit)
+    D = math.lcm(*units)
+    out = [None if v is None else v.numerator * (D // v.denominator) for v in values]
+    if chain is not None:
+        k = D // unit
+        out += xs if k == 1 else [x * k for x in xs]
+    return D, [p._scaled(D // p.unit) for p in paths], out
 
 
 def from_grid(x, D: int) -> float:
@@ -430,50 +503,79 @@ def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
     Follows the recursion on right-extreme viewpoints: each group extends as
     far right as the running length sum allows, and the next group starts at
     the following cluster.  By maximality the summed lengths of any two
-    consecutive groups exceed d_max.
+    consecutive groups exceed d_max.  The sums run on the chain's grid.
     """
     active = partition.active
     if not active:
         raise ValueError("cannot aggregate an all-empty partition")
-    d = [partition.length_exact(i) for i in active]
-    dmax = partition.dimension_exact if d_max is None else Fraction(d_max)
-    if dmax <= 0:
+    unit = partition.chain.grid[0]
+    d = [partition.grid_length(i) for i in active]
+    if d_max is None:
+        limit = max(d)  # empty clusters have length 0
+        dmax = Fraction(limit, unit)
+    else:
+        dmax = Fraction(d_max)
+        limit = dmax * unit
+    if limit <= 0:
         raise ValueError("aggregation needs a positive dimension")
-    if max(d) > dmax:
+    if max(d) > limit:
         raise ValueError("d_max override below the largest cluster length")
 
     groups: list[tuple[int, ...]] = []
+    sums: list[int] = []
     start = 0
     while start < len(active):
         total = d[start]
         end = start
-        while end + 1 < len(active) and total + d[end + 1] <= dmax:
+        while end + 1 < len(active) and total + d[end + 1] <= limit:
             end += 1
             total += d[end]
         groups.append(tuple(range(start, end + 1)))
+        sums.append(total)
         start = end + 1
 
-    lengths = tuple(sum(d[i] for i in g) for g in groups)
-    for a, b in zip(lengths, lengths[1:]):
-        assert a + b > dmax, "maximality guarantees consecutive sums exceed d_max"
-    return AggregatedClusters(groups=tuple(groups), lengths=lengths, d_max=dmax)
+    for a, b in zip(sums, sums[1:]):
+        assert a + b > limit, "maximality guarantees consecutive sums exceed d_max"
+    return AggregatedClusters(
+        groups=tuple(groups), lengths=tuple(Fraction(x, unit) for x in sums), d_max=dmax
+    )
 
 
-def _cluster_bounds(partition: Partition) -> list[tuple[Fraction, Fraction]]:
-    coords = partition.chain.coords_exact
-    out = []
-    for i in partition.active:
-        cl = partition.clusters[i]
-        out.append((coords[cl[0]], coords[cl[-1]]))
-    return out
+def _team_grid(partition: Partition, horizon: Fraction):
+    """The grid a team is synthesized on: D, the least common multiple of
+    the chain's unit U and the horizon's denominator, then the horizon,
+    the active clusters' (left, right) extremes and the dimension, as ints
+    on D."""
+    unit, xs = partition.chain.grid
+    D = math.lcm(unit, horizon.denominator)
+    k = D // unit
+    bounds = [(xs[c[0]] * k, xs[c[-1]] * k) for c in partition.clusters if c]
+    return (
+        D,
+        horizon.numerator * (D // horizon.denominator),
+        bounds,
+        partition.grid_dimension * k,
+    )
 
 
-def _parked_paths(partition: Partition, horizon: Fraction) -> list[PiecewisePath]:
-    park = Fraction(partition.parking_coordinate())
-    return [
-        PiecewisePath.constant(park, horizon)
-        for _ in range(partition.m - partition.cardinality)
-    ]
+def _constant(D: int, H: int, x: int) -> PiecewisePath:
+    return PiecewisePath.on_grid(D, H, prefix=[(0, x), (H, x)])
+
+
+def _team(partition, horizon, D, H, paths, bounds, period) -> TeamTrajectory:
+    """The active clusters' ``paths``, then one robot per empty cluster
+    parked at the last active cluster's right extreme, relaying in chain
+    order; ``period`` is on the grid of D, or None."""
+    park = bounds[-1][1]
+    paths += [_constant(D, H, park) for _ in range(partition.m - partition.cardinality)]
+    return TeamTrajectory(
+        robots=tuple(paths),
+        horizon=horizon,
+        period=None if period is None else Fraction(period, D),
+        relay=tuple(range(partition.cardinality)),
+        chain=partition.chain,
+        partition=partition,
+    )
 
 
 def min_refresh_trajectory(partition: Partition, horizon) -> TeamTrajectory:
@@ -484,28 +586,17 @@ def min_refresh_trajectory(partition: Partition, horizon) -> TeamTrajectory:
     revisited within twice the partition dimension.
     """
     horizon = Fraction(horizon)
-    dim = partition.dimension_exact
-    if horizon < 2 * dim:
+    D, H, bounds, dmax = _team_grid(partition, horizon)
+    if H < 2 * dmax:
         raise ValueError("horizon shorter than one sweep period")
     paths: list[PiecewisePath] = []
-    for l, r in _cluster_bounds(partition):
+    for l, r in bounds:
         d = r - l
         if d == 0:
-            paths.append(PiecewisePath.constant(l, horizon))
+            paths.append(_constant(D, H, l))
         else:
-            paths.append(
-                PiecewisePath(horizon, cycle=[(Fraction(0), l), (d, r), (2 * d, l)])
-            )
-    relay = tuple(range(partition.cardinality))
-    paths += _parked_paths(partition, horizon)
-    return TeamTrajectory(
-        robots=tuple(paths),
-        horizon=horizon,
-        period=None,
-        relay=relay,
-        chain=partition.chain,
-        partition=partition,
-    )
+            paths.append(PiecewisePath.on_grid(D, H, cycle=[(0, l), (d, r), (2 * d, l)]))
+    return _team(partition, horizon, D, H, paths, bounds, None)
 
 
 def min_up_latency_trajectory(partition: Partition, horizon) -> TeamTrajectory:
@@ -516,34 +607,23 @@ def min_up_latency_trajectory(partition: Partition, horizon) -> TeamTrajectory:
     the clusters before it; all robots share the 2*d_max period.
     """
     horizon = Fraction(horizon)
-    bounds = _cluster_bounds(partition)
+    D, H, bounds, dmax = _team_grid(partition, horizon)
     if len(bounds) < 2:
         raise InfeasibleError("latency needs at least two active clusters")
-    dmax = partition.dimension_exact
-    if horizon < 2 * dmax:
+    if H < 2 * dmax:
         raise ValueError("horizon shorter than one team period")
     paths: list[PiecewisePath] = []
-    prefix_len = Fraction(0)
+    anchor = 0
     for l, r in bounds:
         d = r - l
         if d == 0:
-            paths.append(PiecewisePath.constant(l, horizon))
+            paths.append(_constant(D, H, l))
         else:
-            cycle = [(Fraction(0), l), (d, r), (2 * d, l), (2 * dmax, l)]
-            anchor = prefix_len
-            prefix = [(Fraction(0), l), (anchor, l)] if anchor > 0 else []
-            paths.append(PiecewisePath(horizon, prefix=prefix, cycle=cycle, anchor=anchor))
-        prefix_len += d
-    relay = tuple(range(partition.cardinality))
-    paths += _parked_paths(partition, horizon)
-    return TeamTrajectory(
-        robots=tuple(paths),
-        horizon=horizon,
-        period=2 * dmax,
-        relay=relay,
-        chain=partition.chain,
-        partition=partition,
-    )
+            cycle = [(0, l), (d, r), (2 * d, l), (2 * dmax, l)]
+            prefix = [(0, l), (anchor, l)] if anchor > 0 else []
+            paths.append(PiecewisePath.on_grid(D, H, prefix, cycle, anchor))
+        anchor += d
+    return _team(partition, horizon, D, H, paths, bounds, 2 * dmax)
 
 
 def min_latency_trajectory(partition: Partition, horizon) -> TeamTrajectory:
@@ -557,55 +637,44 @@ def min_latency_trajectory(partition: Partition, horizon) -> TeamTrajectory:
     right extreme.
     """
     horizon = Fraction(horizon)
-    bounds = _cluster_bounds(partition)
+    D, H, bounds, dmax = _team_grid(partition, horizon)
     if len(bounds) < 2:
         raise InfeasibleError("latency needs at least two active clusters")
-    dmax = partition.dimension_exact
-    if horizon < 2 * dmax:
+    if H < 2 * dmax:
         raise ValueError("horizon shorter than one team period")
-    agg = aggregate_clusters(partition)
     paths: list[PiecewisePath] = [None] * len(bounds)  # type: ignore[list-item]
-    for gi, group in enumerate(agg.groups):
+    for gi, group in enumerate(aggregate_clusters(partition).groups):
         odd = gi % 2 == 0  # group numbering starts at 1 in chain order
-        prefix = Fraction(0)
+        prefix = 0
         for i in group:
             l, r = bounds[i]
             d = r - l
             delta_l = prefix  # wait half-window at the left end
             delta_r = dmax - (prefix + d)  # and the remainder at the right end
             if d == 0:
-                paths[i] = PiecewisePath.constant(l, horizon)
+                paths[i] = _constant(D, H, l)
             elif odd:
                 cycle = [
-                    (Fraction(0), l),
+                    (0, l),
                     (delta_l, l),
                     (delta_l + d, r),
                     (dmax + delta_r, r),
                     (2 * dmax - delta_l, l),
                     (2 * dmax, l),
                 ]
-                paths[i] = PiecewisePath(horizon, cycle=cycle)
+                paths[i] = PiecewisePath.on_grid(D, H, cycle=cycle)
             else:
                 cycle = [
-                    (Fraction(0), r),
+                    (0, r),
                     (delta_r, r),
                     (dmax - delta_l, l),
                     (dmax + delta_l, l),
                     (2 * dmax - delta_r, r),
                     (2 * dmax, r),
                 ]
-                paths[i] = PiecewisePath(horizon, cycle=cycle)
+                paths[i] = PiecewisePath.on_grid(D, H, cycle=cycle)
             prefix += d
-    relay = tuple(range(partition.cardinality))
-    all_paths = list(paths) + _parked_paths(partition, horizon)
-    return TeamTrajectory(
-        robots=tuple(all_paths),
-        horizon=horizon,
-        period=2 * dmax,
-        relay=relay,
-        chain=partition.chain,
-        partition=partition,
-    )
+    return _team(partition, horizon, D, H, paths, bounds, 2 * dmax)
 
 
 def opposite_phase_trajectory(partition: Partition, horizon) -> TeamTrajectory:
@@ -616,7 +685,7 @@ def opposite_phase_trajectory(partition: Partition, horizon) -> TeamTrajectory:
     active cluster lengths are equal.
     """
     horizon = Fraction(horizon)
-    bounds = _cluster_bounds(partition)
+    D, H, bounds, _ = _team_grid(partition, horizon)
     if len(bounds) < 2:
         raise InfeasibleError("opposite-phase schedule needs at least two clusters")
     lengths = {r - l for l, r in bounds}
@@ -625,22 +694,13 @@ def opposite_phase_trajectory(partition: Partition, horizon) -> TeamTrajectory:
     d = lengths.pop()
     if d == 0:
         raise ValueError("cluster lengths must be positive")
-    if horizon < 2 * d:
+    if H < 2 * d:
         raise ValueError("horizon shorter than one sweep period")
     paths = []
     for i, (l, r) in enumerate(bounds):
         if i % 2 == 0:
-            cycle = [(Fraction(0), l), (d, r), (2 * d, l)]
+            cycle = [(0, l), (d, r), (2 * d, l)]
         else:
-            cycle = [(Fraction(0), r), (d, l), (2 * d, r)]
-        paths.append(PiecewisePath(horizon, cycle=cycle))
-    relay = tuple(range(partition.cardinality))
-    paths += _parked_paths(partition, horizon)
-    return TeamTrajectory(
-        robots=tuple(paths),
-        horizon=horizon,
-        period=2 * d,
-        relay=relay,
-        chain=partition.chain,
-        partition=partition,
-    )
+            cycle = [(0, r), (d, l), (2 * d, r)]
+        paths.append(PiecewisePath.on_grid(D, H, cycle=cycle))
+    return _team(partition, horizon, D, H, paths, bounds, 2 * d)

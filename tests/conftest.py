@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from patrolsim.partition import Partition, partition_from_clusters
+from patrolsim.partition import InfeasibleError, Partition, partition_from_clusters
 from patrolsim.roadmap import ChainRoadmap, Roadmap
 from patrolsim.trajectories import PiecewisePath, TeamTrajectory
 
@@ -298,6 +298,158 @@ def subtree_search_oracle(tree, m: int):
                     best = key
     obj, _, removed_idx, alloc, comps = best
     return tuple(edges[i][:2] for i in removed_idx), tuple(comps), alloc, obj
+
+
+# ---------------------------------------------------------------------------
+# synthesis oracle
+#
+# The four sweep synthesizers in plain ``Fraction`` arithmetic, as they were
+# written before synthesis moved onto the chain's integer grid.  Cluster
+# bounds come straight from ``coords_exact`` and the aggregated groups from
+# a ``Fraction`` copy of the greedy, so nothing here reads the grid.  One
+# line differs from that code: parked robots sit on the last active
+# cluster's right extreme exactly, where the old code parked them at its
+# float rounding (the same value on any chain of float coordinates).
+
+
+def _oracle_bounds(partition: Partition) -> list[tuple[Fraction, Fraction]]:
+    coords = partition.chain.coords_exact
+    return [(coords[cl[0]], coords[cl[-1]]) for cl in partition.clusters if cl]
+
+
+def _oracle_dimension(partition: Partition) -> Fraction:
+    return max((r - l for l, r in _oracle_bounds(partition)), default=Fraction(0))
+
+
+def _oracle_parked(partition: Partition, horizon: Fraction) -> list[PiecewisePath]:
+    park = _oracle_bounds(partition)[-1][1]
+    return [
+        PiecewisePath.constant(park, horizon)
+        for _ in range(partition.m - partition.cardinality)
+    ]
+
+
+def _oracle_team(partition, paths, horizon, period) -> TeamTrajectory:
+    return TeamTrajectory(
+        robots=tuple(paths) + tuple(_oracle_parked(partition, horizon)),
+        horizon=horizon,
+        period=period,
+        relay=tuple(range(partition.cardinality)),
+        chain=partition.chain,
+        partition=partition,
+    )
+
+
+def oracle_min_refresh(partition: Partition, horizon) -> TeamTrajectory:
+    horizon = Fraction(horizon)
+    if horizon < 2 * _oracle_dimension(partition):
+        raise ValueError("horizon shorter than one sweep period")
+    paths = []
+    for l, r in _oracle_bounds(partition):
+        d = r - l
+        if d == 0:
+            paths.append(PiecewisePath.constant(l, horizon))
+        else:
+            paths.append(PiecewisePath(horizon, cycle=[(Fraction(0), l), (d, r), (2 * d, l)]))
+    return _oracle_team(partition, paths, horizon, None)
+
+
+def oracle_min_up_latency(partition: Partition, horizon) -> TeamTrajectory:
+    horizon = Fraction(horizon)
+    bounds = _oracle_bounds(partition)
+    if len(bounds) < 2:
+        raise InfeasibleError("latency needs at least two active clusters")
+    dmax = _oracle_dimension(partition)
+    if horizon < 2 * dmax:
+        raise ValueError("horizon shorter than one team period")
+    paths = []
+    prefix_len = Fraction(0)
+    for l, r in bounds:
+        d = r - l
+        if d == 0:
+            paths.append(PiecewisePath.constant(l, horizon))
+        else:
+            cycle = [(Fraction(0), l), (d, r), (2 * d, l), (2 * dmax, l)]
+            anchor = prefix_len
+            prefix = [(Fraction(0), l), (anchor, l)] if anchor > 0 else []
+            paths.append(PiecewisePath(horizon, prefix=prefix, cycle=cycle, anchor=anchor))
+        prefix_len += d
+    return _oracle_team(partition, paths, horizon, 2 * dmax)
+
+
+def _oracle_groups(d: list[Fraction], dmax: Fraction) -> list[tuple[int, ...]]:
+    groups, start = [], 0
+    while start < len(d):
+        total, end = d[start], start
+        while end + 1 < len(d) and total + d[end + 1] <= dmax:
+            end += 1
+            total += d[end]
+        groups.append(tuple(range(start, end + 1)))
+        start = end + 1
+    return groups
+
+
+def oracle_min_latency(partition: Partition, horizon) -> TeamTrajectory:
+    horizon = Fraction(horizon)
+    bounds = _oracle_bounds(partition)
+    if len(bounds) < 2:
+        raise InfeasibleError("latency needs at least two active clusters")
+    dmax = _oracle_dimension(partition)
+    if horizon < 2 * dmax:
+        raise ValueError("horizon shorter than one team period")
+    paths = [None] * len(bounds)
+    for gi, group in enumerate(_oracle_groups([r - l for l, r in bounds], dmax)):
+        prefix = Fraction(0)
+        for i in group:
+            l, r = bounds[i]
+            d = r - l
+            delta_l = prefix
+            delta_r = dmax - (prefix + d)
+            if d == 0:
+                paths[i] = PiecewisePath.constant(l, horizon)
+            elif gi % 2 == 0:
+                paths[i] = PiecewisePath(horizon, cycle=[
+                    (Fraction(0), l), (delta_l, l), (delta_l + d, r),
+                    (dmax + delta_r, r), (2 * dmax - delta_l, l), (2 * dmax, l),
+                ])
+            else:
+                paths[i] = PiecewisePath(horizon, cycle=[
+                    (Fraction(0), r), (delta_r, r), (dmax - delta_l, l),
+                    (dmax + delta_l, l), (2 * dmax - delta_r, r), (2 * dmax, r),
+                ])
+            prefix += d
+    return _oracle_team(partition, paths, horizon, 2 * dmax)
+
+
+def oracle_opposite_phase(partition: Partition, horizon) -> TeamTrajectory:
+    horizon = Fraction(horizon)
+    bounds = _oracle_bounds(partition)
+    if len(bounds) < 2:
+        raise InfeasibleError("opposite-phase schedule needs at least two clusters")
+    lengths = {r - l for l, r in bounds}
+    if len(lengths) != 1:
+        raise ValueError("opposite-phase schedule requires equal cluster lengths")
+    d = lengths.pop()
+    if d == 0:
+        raise ValueError("cluster lengths must be positive")
+    if horizon < 2 * d:
+        raise ValueError("horizon shorter than one sweep period")
+    paths = []
+    for i, (l, r) in enumerate(bounds):
+        if i % 2 == 0:
+            cycle = [(Fraction(0), l), (d, r), (2 * d, l)]
+        else:
+            cycle = [(Fraction(0), r), (d, l), (2 * d, r)]
+        paths.append(PiecewisePath(horizon, cycle=cycle))
+    return _oracle_team(partition, paths, horizon, 2 * d)
+
+
+ORACLE_SYNTHESIZERS = {
+    "min_refresh": oracle_min_refresh,
+    "min_up_latency": oracle_min_up_latency,
+    "min_latency": oracle_min_latency,
+    "opposite_phase": oracle_opposite_phase,
+}
 
 
 # ---------------------------------------------------------------------------

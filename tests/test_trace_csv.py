@@ -197,8 +197,13 @@ class TestReader:
             ("0.0,1.5,2.0\r\n", "rows must hold .*: line 2$"),
             ("0.0,0,1.0\r\n0.0,1,1.0\r\n1.0,0,1.0\r\n1.0,x,1.0\r\n",
              "rows must hold .*: line 5$"),
+            # Python's float() takes the underscore, numpy's parser does not
+            ("0.0,0,1_0\r\n", "rows must hold .*: line 2$"),
+            ("0.0,0,1.0\r\n   \r\n", "rows must hold .*: line 3$"),
+            ("0.0,0,1.0\r\n" * 5000 + "1.0,0,1_0\r\n", "rows must hold .*: line 5002$"),
         ],
-        ids=["header_only", "two_fields", "fractional_robot", "bad_robot_on_line_5"],
+        ids=["header_only", "two_fields", "fractional_robot", "bad_robot_on_line_5",
+             "underscore_digits", "blank_field_row", "past_the_first_block"],
     )
     def test_rejections_name_the_path(self, tmp_path, case_file, capsys, body, message):
         trace = tmp_path / "bad.csv"
