@@ -93,13 +93,9 @@ class Partition:
         return float(self.dimension_exact)
 
     @property
-    def grid_dimension(self) -> int:
-        """The dimension on the chain's grid: times its unit U."""
-        return max((self.grid_length(i) for i in range(self.m)), default=0)
-
-    @property
     def dimension_exact(self) -> Fraction:
-        return Fraction(self.grid_dimension, self.chain.grid[0])
+        span = max((self.grid_length(i) for i in range(self.m)), default=0)
+        return Fraction(span, self.chain.grid[0])
 
     def lengths(self) -> tuple[float, ...]:
         return tuple(self.length(i) for i in range(self.m))

@@ -521,24 +521,30 @@ def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
     if max(d) > limit:
         raise ValueError("d_max override below the largest cluster length")
 
+    groups, sums = _groups(d, limit)
+    return AggregatedClusters(
+        groups=groups, lengths=tuple(Fraction(x, unit) for x in sums), d_max=dmax
+    )
+
+
+def _groups(d: list[int], limit) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Maximal runs of consecutive indices of ``d`` whose lengths sum within
+    ``limit``, grown greedily from the left, and their sums."""
     groups: list[tuple[int, ...]] = []
     sums: list[int] = []
     start = 0
-    while start < len(active):
+    while start < len(d):
         total = d[start]
         end = start
-        while end + 1 < len(active) and total + d[end + 1] <= limit:
+        while end + 1 < len(d) and total + d[end + 1] <= limit:
             end += 1
             total += d[end]
         groups.append(tuple(range(start, end + 1)))
         sums.append(total)
         start = end + 1
-
     for a, b in zip(sums, sums[1:]):
         assert a + b > limit, "maximality guarantees consecutive sums exceed d_max"
-    return AggregatedClusters(
-        groups=tuple(groups), lengths=tuple(Fraction(x, unit) for x in sums), d_max=dmax
-    )
+    return tuple(groups), sums
 
 
 def _team_grid(partition: Partition, horizon: Fraction):
@@ -550,12 +556,7 @@ def _team_grid(partition: Partition, horizon: Fraction):
     D = math.lcm(unit, horizon.denominator)
     k = D // unit
     bounds = [(xs[c[0]] * k, xs[c[-1]] * k) for c in partition.clusters if c]
-    return (
-        D,
-        horizon.numerator * (D // horizon.denominator),
-        bounds,
-        partition.grid_dimension * k,
-    )
+    return D, horizon.numerator * (D // horizon.denominator), bounds, max(r - l for l, r in bounds)
 
 
 def _constant(D: int, H: int, x: int) -> PiecewisePath:
@@ -567,12 +568,12 @@ def _team(partition, horizon, D, H, paths, bounds, period) -> TeamTrajectory:
     parked at the last active cluster's right extreme, relaying in chain
     order; ``period`` is on the grid of D, or None."""
     park = bounds[-1][1]
-    paths += [_constant(D, H, park) for _ in range(partition.m - partition.cardinality)]
+    paths += [_constant(D, H, park) for _ in range(partition.m - len(bounds))]
     return TeamTrajectory(
         robots=tuple(paths),
         horizon=horizon,
         period=None if period is None else Fraction(period, D),
-        relay=tuple(range(partition.cardinality)),
+        relay=tuple(range(len(bounds))),
         chain=partition.chain,
         partition=partition,
     )
@@ -642,8 +643,11 @@ def min_latency_trajectory(partition: Partition, horizon) -> TeamTrajectory:
         raise InfeasibleError("latency needs at least two active clusters")
     if H < 2 * dmax:
         raise ValueError("horizon shorter than one team period")
+    if dmax == 0:
+        raise ValueError("aggregation needs a positive dimension")
+    groups, _ = _groups([r - l for l, r in bounds], dmax)
     paths: list[PiecewisePath] = [None] * len(bounds)  # type: ignore[list-item]
-    for gi, group in enumerate(aggregate_clusters(partition).groups):
+    for gi, group in enumerate(groups):
         odd = gi % 2 == 0  # group numbering starts at 1 in chain order
         prefix = 0
         for i in group:

@@ -378,6 +378,8 @@ def oracle_min_up_latency(partition: Partition, horizon) -> TeamTrajectory:
 
 
 def _oracle_groups(d: list[Fraction], dmax: Fraction) -> list[tuple[int, ...]]:
+    if dmax <= 0:
+        raise ValueError("aggregation needs a positive dimension")
     groups, start = [], 0
     while start < len(d):
         total, end = d[start], start
