@@ -9,12 +9,17 @@ or two steps.
 
 Refresh time is the longest interval during which some viewpoint goes
 unvisited.  Every refresh-time evaluator of chain trajectories, exact or
-sampled, gathers one viewpoint's visit episodes and hands them to
-``max_revisit_gap``: one interval merge (``_merge_intervals``) and one rule
-for the gaps at the window's ends, in whichever arithmetic the episodes
-use.  Tree tours and path-cover sweeps are rides on closed walks; their
-steady refresh time is the largest circular gap between a vertex's
-positions on the walk (``tree.TourTeamTrajectory.refresh_time``).
+sampled, gathers one viewpoint's unmerged visit episodes (exact: each
+holder's ``PiecewisePath._occupancy``) and hands them to
+``max_revisit_gap``: the one interval merge (``_merge_intervals``) of that
+viewpoint's visits and one rule for the gaps at the window's ends, in
+whichever arithmetic the episodes use.  Latency merges each robot's
+episodes at a viewpoint once (``PiecewisePath.occupancy``), because the
+pairwise intersections need sorted, disjoint lists, and merges a pair's
+joint dwells once more.  Tree tours and path-cover sweeps are rides on
+closed walks; their steady refresh time is the largest circular gap
+between a vertex's positions on the walk
+(``tree.TourTeamTrajectory.refresh_time``).
 Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
@@ -77,7 +82,8 @@ def max_revisit_gap(eps: list, t0, t1, cap=None, strict: bool = False):
     """Longest gap between the visit episodes ``eps`` of one viewpoint
     within [t0, t1], in the arithmetic of its inputs (``Fraction`` or float).
 
-    The episodes are merged and clipped to the window.  The gaps before the
+    The episodes need not be sorted or disjoint: this is where they are
+    merged, once, and then clipped to the window.  The gaps before the
     first visit and after the last one count in full when ``strict``, up to
     ``cap`` when one is given, and not at all otherwise (steady evaluation
     of an aperiodic path).  Returns ``inf`` when no visit lies in the window.
@@ -151,7 +157,7 @@ def refresh_time(
             end = t1 - max(0, (t1 - start - 2 * period) // period) * period
         eps: list[Interval] = []
         for i in holders:
-            eps.extend(robots[i].occupancy(c, end))
+            eps.extend(robots[i]._occupancy(c, end))
         worst = max(worst, max_revisit_gap(eps, t0, end, cap, strict))
         if worst == math.inf:
             break

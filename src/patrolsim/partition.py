@@ -97,9 +97,6 @@ class Partition:
         span = max((self.grid_length(i) for i in range(self.m)), default=0)
         return Fraction(span, self.chain.grid[0])
 
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(self.length(i) for i in range(self.m))
-
     def parking_coordinate(self) -> float:
         """Where robots assigned to empty clusters idle."""
         act = self.active

@@ -119,16 +119,6 @@ class Roadmap:
         except KeyError:
             raise RoadmapError(f"unknown vertex id {vid!r}") from None
 
-    def neighbors(self, vid: str) -> list[str]:
-        i = self.index(vid)
-        out = []
-        for u, v, _ in self.edges:
-            if self._index[u] == i:
-                out.append(v)
-            elif self._index[v] == i:
-                out.append(u)
-        return sorted(out, key=self._index.__getitem__)
-
     def distance(self, u: str, v: str) -> float:
         return float(self._dist[self.index(u), self.index(v)])
 

@@ -96,7 +96,6 @@ class Trace:
     config: SimConfig
     detect_time: float | None = None
     new_partition: Partition | None = None
-    repartition_time: float | None = None
     final_relay: tuple[int, ...] = ()
 
     @property
@@ -399,7 +398,6 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     events: list[tuple[float, str, int, int]] = []
     detect_time: float | None = None
     new_partition: Partition | None = None
-    repartition_time: float | None = None
 
     toggles = sorted(
         {steps}
@@ -478,7 +476,6 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             new_partition, _ = optimal_partition_bisect(
                 chain, len(survivors), cfg.repartition_eps
             )
-            repartition_time = detect_time
             events.append((detect_time, "repartition", -1, -1))
             state = _TeamState(chain, new_partition, survivors, None, cfg.eta)
             state.pos = [old_pos[rid] for rid in state.robot_ids]
@@ -509,7 +506,6 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
         config=cfg,
         detect_time=detect_time,
         new_partition=new_partition,
-        repartition_time=repartition_time,
         final_relay=tuple(state.robot_ids),
     )
 

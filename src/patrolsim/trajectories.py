@@ -243,20 +243,24 @@ class PiecewisePath:
 
     @staticmethod
     def _episodes_in(pts, value) -> list[Interval]:
+        """Unmerged episodes at ``value`` along breakpoints ``pts``, in time
+        order: one per dwell at it and one instant per crossing of it.  A
+        segment that leaves ``value``, other than the first, reports
+        nothing: the segment before it ends there and has reported it."""
         eps: list[Interval] = []
-        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
+        for k, ((t0, x0), (t1, x1)) in enumerate(zip(pts, pts[1:])):
             if x0 == x1:
                 if x0 == value:
                     eps.append((t0, t1))
             else:
                 lo, hi = (x0, x1) if x0 < x1 else (x1, x0)
-                if lo <= value <= hi:
+                if lo <= value <= hi and (value != x0 or k == 0):
                     if hi - lo == t1 - t0:  # unit speed: no division
                         tc = t0 + abs(value - x0)
                     else:
                         tc = t0 + Fraction(value - x0) * (t1 - t0) / (x1 - x0)
                     eps.append((tc, tc))
-        return _merge_intervals(eps)
+        return eps
 
     def occupancy(self, value, t_end=None) -> list[Interval]:
         """Merged closed time intervals (possibly instants) where the path
@@ -265,10 +269,14 @@ class PiecewisePath:
         end = self._horizon if t_end is None else _exact(t_end) * u
         if not 0 <= end <= self._horizon:
             raise ValueError(f"t_end {float(t_end)} outside [0, {float(self.horizon)}]")
-        eps = self._occupancy(_exact(value) * u, end)
+        eps = _merge_intervals(self._occupancy(_exact(value) * u, end))
         return eps if u == 1 else [(Fraction(s, u), Fraction(e, u)) for s, e in eps]
 
     def _occupancy(self, value, t_end) -> list[Interval]:
+        """Unmerged episodes at grid ``value`` over [0, t_end], clipped to
+        t_end, in time order: the prefix's, then the cycle's unrolled copy
+        by copy.  Episodes of neighboring copies may touch at the seam;
+        the caller's merge joins them."""
         out: list[Interval] = []
         if self._prefix:
             out += [
@@ -279,19 +287,13 @@ class PiecewisePath:
         if self._cycle is not None and t_end >= self._anchor:
             anchor, period = self._anchor, self._period
             base = self._episodes_in(self._cycle, value)
-            # an episode touching both ends of the cycle wraps around into
-            # the next copy; the first copy's head has no copy before it
-            if len(base) >= 2 and base[0][0] == 0 and base[-1][1] == period:
-                head = base.pop(0)
-                base[-1] = (base[-1][0], period + head[1])
-                out.append((anchor, min(anchor + head[1], t_end)))
-            kmax = (t_end - anchor) // period
-            for k in range(int(kmax) + 1):
+            last = (t_end - anchor) // period  # the copy that t_end cuts
+            for k in range(last):
                 off = anchor + k * period
-                for s, e in base:
-                    if off + s <= t_end:
-                        out.append((off + s, min(off + e, t_end)))
-        return _merge_intervals(out)
+                out += [(off + s, off + e) for s, e in base]
+            off = anchor + last * period
+            out += [(off + s, min(off + e, t_end)) for s, e in base if off + s <= t_end]
+        return out
 
     def flatten(self) -> list[tuple[float, float]]:
         """Explicit float breakpoints covering [0, horizon] (for export)."""
@@ -347,6 +349,15 @@ def from_grid(x, D: int) -> float:
     once; through ``Fraction`` so that neither x nor D, which can exceed the
     float range, is ever converted on its own."""
     return math.inf if x == math.inf else float(Fraction(x, D))
+
+
+def sample_times(horizon, dt: float) -> np.ndarray:
+    """The sampling instants k * dt for k = 0..K, K = floor(horizon / dt +
+    1e-9): a horizon a rounding error short of a whole step keeps it."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"sample step must be positive and finite, got {dt!r}")
+    k = int(np.floor(float(horizon) / dt + 1e-9))
+    return np.arange(k + 1) * dt
 
 
 _BLOCK_ROWS = 1 << 15  # CSV rows formatted and written per block
@@ -433,12 +444,8 @@ class TeamTrajectory:
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Fixed-step float samples: times (K,), positions (K, m)."""
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"sample step must be positive and finite, got {dt!r}")
-        h = float(self.horizon)
-        k = int(np.floor(h / dt + 1e-9))
-        times = np.arange(k + 1) * dt
-        pos = np.empty((k + 1, self.m))
+        times = sample_times(self.horizon, dt)
+        pos = np.empty((len(times), self.m))
         for i, path in enumerate(self.robots):
             pts = path.flatten()
             ts = np.array([t for t, _ in pts])

@@ -23,6 +23,7 @@ import numpy as np
 
 from .partition import InfeasibleError
 from .roadmap import TreeRoadmap
+from .trajectories import sample_times
 
 
 @dataclass(frozen=True)
@@ -305,12 +306,8 @@ class TourTeamTrajectory:
         return float(worst)
 
     def sample(self, dt: float):
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"sample step must be positive and finite, got {dt!r}")
-        h = float(self.horizon)
-        k = int(np.floor(h / dt + 1e-9))
-        times = np.arange(k + 1) * dt
-        pos = np.empty((k + 1, self.m))
+        times = sample_times(self.horizon, dt)
+        pos = np.empty((len(times), self.m))
         for i, (j, off) in enumerate(self.robots):
             if self.stationary[j] is not None:
                 pos[:, i] = 0.0

@@ -438,7 +438,7 @@ class TestPeriodFolding:
             for path, flat_path in zip(traj.robots, flat.robots):
                 for value in traj.chain.coords_exact:
                     assert path.occupancy(value) == flat_path.occupancy(value)
-                    for t_end in (0, 12):
+                    for t_end in (0, 6, 6.5, 12, 12.5):
                         assert path.occupancy(value, t_end) == flat_path.occupancy(value, t_end)
             for strict in (False, True):
                 assert refresh_time(traj, warmup=0, strict=strict) == refresh_time(
@@ -449,15 +449,15 @@ class TestPeriodFolding:
 
     def test_work_does_not_grow_with_horizon(self, monkeypatch):
         chain, part = singleton_group_instance(random.Random(3), m=5)
-        occupancy = PiecewisePath.occupancy
+        occupancy = PiecewisePath._occupancy
         total = [0]
 
-        def counted(self, value, t_end=None):
+        def counted(self, value, t_end):
             out = occupancy(self, value, t_end)
             total[0] += len(out)
             return out
 
-        monkeypatch.setattr(PiecewisePath, "occupancy", counted)
+        monkeypatch.setattr(PiecewisePath, "_occupancy", counted)
         counts = {}
         for periods in (16, 64):
             traj = min_latency_trajectory(part, periods * 2 * part.dimension_exact)
