@@ -22,8 +22,6 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .partition import InfeasibleError, optimal_partition_bisect
 from .roadmap import ChainRoadmap, Roadmap
@@ -52,17 +50,30 @@ class ChainifyResult:
     edge_lengths: tuple[Fraction, ...]
 
 
-def _graph_mst_edges(g: Roadmap) -> list[tuple[int, int, float]]:
-    n = g.n
-    rows, cols, data = [], [], []
-    for u, v, w in g.edges:
-        i, j = g.index(u), g.index(v)
-        rows.append(min(i, j))
-        cols.append(max(i, j))
-        data.append(w)
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-    mst = minimum_spanning_tree(mat).tocoo()
-    return [(int(i), int(j), float(w)) for i, j, w in zip(mst.row, mst.col, mst.data)]
+def _spanning_tree(n: int, edges) -> list[tuple[int, int, int]]:
+    """Minimum spanning forest of ``(i, j, w)`` edges over vertices 0..n-1
+    with exact int lengths ``w``, by Kruskal's algorithm.
+
+    Edges are taken in order of (w, min(i, j), max(i, j)), so among equal
+    lengths the edge with the lower endpoint indices wins and the result is
+    unique.  Returns the kept edges as (min index, max index, w) in that
+    order.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for w, i, j in sorted((w, min(i, j), max(i, j)) for i, j, w in edges):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j, w))
+    return tree
 
 
 def chainify(g: Roadmap) -> ChainifyResult:
@@ -75,11 +86,14 @@ def chainify(g: Roadmap) -> ChainifyResult:
     """
     if g.n < 3:
         raise InfeasibleError("roadmaps with fewer than 3 vertices are chains already")
-    mst = _graph_mst_edges(g)
+    unit, lengths = g.grid
+    mst = _spanning_tree(
+        g.n, ((g.index(u), g.index(v), w) for (u, v, _), w in zip(g.edges, lengths))
+    )
     adj: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(g.n)}
     for i, j, w in mst:
-        adj[i].append((j, Fraction(w)))
-        adj[j].append((i, Fraction(w)))
+        adj[i].append((j, Fraction(w, unit)))
+        adj[j].append((i, Fraction(w, unit)))
     for i in adj:
         adj[i].sort()
     root = min(i for i in adj if len(adj[i]) == 1)
@@ -198,11 +212,6 @@ class PathCover:
         return doc
 
 
-def _closure_mst(dist: np.ndarray) -> list[tuple[int, int, float]]:
-    mst = minimum_spanning_tree(csr_matrix(np.triu(dist))).tocoo()
-    return [(int(i), int(j), float(w)) for i, j, w in zip(mst.row, mst.col, mst.data)]
-
-
 def _split_cover(dist, mst_edges, budget: float, split_factor: float):
     """Components of the budget-thresholded closure MST, their preorder
     walks split greedily into segments of cost at most split_factor*budget.
@@ -254,7 +263,13 @@ def minmax_path_cover(g: Roadmap, m: int) -> PathCover:
     if m < 1:
         raise InfeasibleError("need at least one robot")
     dist = g.distance_matrix()
-    mst_edges = _closure_mst(dist)
+    exact = g.grid_distances
+    mst_edges = [
+        (i, j, float(dist[i, j]))
+        for i, j, _ in _spanning_tree(
+            g.n, ((i, j, exact[i][j]) for i in range(g.n) for j in range(i + 1, g.n))
+        )
+    ]
     cand = {0.0}
     for i in range(g.n):
         for j in range(i + 1, g.n):

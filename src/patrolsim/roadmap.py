@@ -5,11 +5,13 @@ lengths form a metric (every edge is itself a shortest route between its
 endpoints).  Chains carry an explicit arc-length coordinate per viewpoint
 and are the substrate for the partitioning and trajectory machinery; trees
 get their own patrolling planner; everything else goes through the cyclic
-approximations.
+approximations.  Both kinds keep an integer grid: a unit U and their
+lengths times U as ints, on which exact computations run.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import warnings
@@ -19,8 +21,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 
 class RoadmapError(ValueError):
@@ -30,12 +30,14 @@ class RoadmapError(ValueError):
 class MetricViolation(RoadmapError):
     """An edge is longer than an alternative route between its endpoints."""
 
-    def __init__(self, u: str, v: str, length: float, alternative: float):
+    def __init__(self, u: str, v: str, length: float, alternative: float, shortfall: float):
         self.triple = (u, v, length)
         self.alternative = alternative
+        # the shortfall is exact: the rounded alternative can equal the length
         super().__init__(
             f"edge ({u}, {v}) of length {length!r} violates the triangle "
-            f"inequality: an alternative route of length {alternative!r} exists"
+            f"inequality: an alternative route of length {alternative!r} exists "
+            f"(shorter by {shortfall!r})"
         )
 
 
@@ -52,12 +54,40 @@ def _check_lengths(pairs: Iterable[tuple[str, str, float]]) -> None:
             raise RoadmapError(f"edge ({u!r}, {v!r}) has non-positive length {w!r}")
 
 
+def _on_grid(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(U, ints): U is the least common denominator of the rationals
+    ``values`` and each int is the value times U."""
+    unit = math.lcm(*(x.denominator for x in values))
+    return unit, tuple(x.numerator * (unit // x.denominator) for x in values)
+
+
+def _shortest_from(adj: list[list[tuple[int, int]]], s: int) -> dict[int, int]:
+    """Dijkstra from ``s`` over int edge lengths: {reached vertex: distance}."""
+    done: dict[int, int] = {}
+    heap = [(0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done[u] = d
+        for v, w in adj[u]:
+            if v not in done:
+                heapq.heappush(heap, (d + w, v))
+    return done
+
+
 class Roadmap:
     """Undirected connected metric graph over named viewpoints.
 
-    Immutable after construction; all-pairs shortest path distances are
-    computed eagerly (instances stay small) and shared freely across
-    threads.
+    Distances are exact on the roadmap's integer grid: ``grid`` is (U,
+    lengths), where the unit U is the least common denominator of the edge
+    lengths and ``lengths[k] = Fraction(edges[k][2]) * U`` is an int.
+    Construction runs one Dijkstra per source on those ints, so
+    ``grid_distances[i][j]`` is the exact shortest-path length between
+    vertices i and j times U.  ``distance`` and ``distance_matrix`` return
+    it rounded once to the nearest float, which makes them symmetric, and
+    the metric check compares ints.  All of it is computed in the
+    constructor (instances stay small) and never changes afterwards.
     """
 
     kind = "general"
@@ -84,27 +114,33 @@ class Roadmap:
         )
         self.xy = dict(xy) if xy else {}
 
+        self.grid = _on_grid([Fraction(w) for _, _, w in self.edges])
+        unit, lengths = self.grid
+
         n = len(self.ids)
-        rows, cols, data = [], [], []
-        for u, v, w in self.edges:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v, _), w in zip(self.edges, lengths):
             i, j = self._index[u], self._index[v]
-            rows += [i, j]
-            cols += [j, i]
-            data += [w, w]
-        graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-        ncomp, _ = connected_components(graph, directed=False)
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+        reached = [_shortest_from(adj, s) for s in range(n)]
+        # each component is counted at its lowest vertex
+        ncomp = sum(1 for s, row in enumerate(reached) if min(row) == s)
         if ncomp != 1:
             raise RoadmapError(f"roadmap is disconnected ({ncomp} components)")
-        dist = shortest_path(graph, method="D", directed=False)
-        # summation order differs per direction at the last ulp; symmetrize
-        self._dist = np.minimum(dist, dist.T)
+        self.grid_distances: tuple[tuple[int, ...], ...] = tuple(
+            tuple(row[j] for j in range(n)) for row in reached
+        )
+        # int true division rounds correctly, so the matrix is symmetric
+        self._dist = np.array([[d / unit for d in row] for row in self.grid_distances])
         self._validate_metric(strict=strict_metric)
 
     def _validate_metric(self, strict: bool) -> None:
-        for u, v, w in self.edges:
-            d = self._dist[self._index[u], self._index[v]]
-            if d < w:
-                err = MetricViolation(u, v, w, float(d))
+        unit, lengths = self.grid
+        for (u, v, w), wi in zip(self.edges, lengths):
+            d = self.grid_distances[self._index[u]][self._index[v]]
+            if d < wi:
+                err = MetricViolation(u, v, w, d / unit, (wi - d) / unit)
                 if strict:
                     raise err
                 warnings.warn(str(err), stacklevel=3)
@@ -201,8 +237,7 @@ class ChainRoadmap:
 
     @cached_property
     def grid(self) -> tuple[int, tuple[int, ...]]:
-        unit = math.lcm(*(c.denominator for c in self.coords_exact))
-        return unit, tuple(c.numerator * (unit // c.denominator) for c in self.coords_exact)
+        return _on_grid(self.coords_exact)
 
     @property
     def n(self) -> int:

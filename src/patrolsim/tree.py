@@ -194,9 +194,9 @@ def optimal_subtree_collection(
     length per robot.  Ties break toward fewer removed edges, then toward
     the lexicographically first edge subset and allocation.
 
-    The search runs in exact integer arithmetic: edge weights are scaled by
-    their common denominator, and the objective 2 W_j / m_j is compared by
-    cross-multiplication.
+    The search runs in exact integer arithmetic: edge weights are read on
+    the tree's integer grid (``Roadmap.grid``), and the objective
+    2 W_j / m_j is compared by cross-multiplication.
     """
     if m < 1:
         raise InfeasibleError("need at least one robot")
@@ -207,9 +207,7 @@ def optimal_subtree_collection(
         )
     edges = list(tree.edges)
     n = tree.n
-    exact = [Fraction(w) for _, _, w in edges]
-    scale = math.lcm(*(w.denominator for w in exact))
-    edge_w = [int(w * scale) for w in exact]
+    edge_w = tree.grid[1]
     # root the tree at vertex 0: ``order`` lists every vertex after its
     # parent, and up[v] holds v's parent and the index of the edge to it
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

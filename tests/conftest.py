@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's code paths: the interval
 partition oracle is a dynamic program over prefixes, the latency oracle
-works on densely sampled traces with naive linear scans, and the brute
-shortest-path oracle enumerates simple paths.  They exist to pin expected
+works on densely sampled traces with naive linear scans, the brute
+shortest-path oracle enumerates simple paths, and the exact distance
+oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  They exist to pin expected
 values independently of the implementations under test.
 """
 
@@ -479,6 +480,26 @@ def brute_shortest_path(g: Roadmap, u: str, v: str) -> float:
 
     walk(u, {u}, 0.0)
     return best
+
+
+def exact_distances(g: Roadmap) -> list[list[Fraction]]:
+    """All-pairs shortest-path lengths by Floyd-Warshall on the ``Fraction``
+    values of the edge lengths, indexed like ``g.ids``."""
+    n = g.n
+    d = [[Fraction(0) if i == j else math.inf for j in range(n)] for i in range(n)]
+    for a, b, w in g.edges:
+        i, j = g.index(a), g.index(b)
+        d[i][j] = d[j][i] = Fraction(w)
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            dik = di[k]
+            if dik == math.inf:
+                continue
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return d
 
 
 @pytest.fixture

@@ -4,10 +4,12 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from patrolsim.cover import (
     PathCover,
+    _spanning_tree,
     chain_tour_approximation,
     chainify,
     exact_path_cover,
@@ -108,6 +110,41 @@ class TestChainify:
         tiny = Roadmap(["a", "b"], [("a", "b", 1.0)])
         with pytest.raises(InfeasibleError):
             chainify(tiny)
+
+
+class TestSpanningTree:
+    def test_ties_break_toward_lower_indices(self):
+        g = unit_square()  # a, b, c, d = 0, 1, 2, 3: four sides of length 1
+        edges = [(g.index(u), g.index(v), w) for (u, v, _), w in zip(g.edges, g.grid[1])]
+        assert _spanning_tree(4, edges) == [(0, 1, 1), (0, 3, 1), (1, 2, 1)]
+        # the closure adds the diagonals (length 2), which never enter
+        exact = g.grid_distances
+        closure = [(i, j, exact[i][j]) for i in range(4) for j in range(i + 1, 4)]
+        assert _spanning_tree(4, closure) == [(0, 1, 1), (0, 3, 1), (1, 2, 1)]
+
+    def test_matches_scipy_on_graph_edges_and_closure(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        def scipy_edges(mat):
+            tree = minimum_spanning_tree(csr_matrix(mat)).tocoo()
+            return {(min(i, j), max(i, j)) for i, j in zip(tree.row.tolist(), tree.col.tolist())}
+
+        rng = random.Random(11)
+        for _ in range(400):
+            g = random_metric_roadmap(rng, n_lo=3, n_hi=40)
+            n = g.n
+            graph = np.zeros((n, n))
+            edges = []
+            for (u, v, w), wi in zip(g.edges, g.grid[1]):
+                i, j = sorted((g.index(u), g.index(v)))
+                graph[i, j] = w
+                edges.append((i, j, wi))
+            exact = g.grid_distances
+            closure = [(i, j, exact[i][j]) for i in range(n) for j in range(i + 1, n)]
+            for mat, weighted in ((graph, edges), (np.triu(g.distance_matrix()), closure)):
+                ours = {(i, j) for i, j, _ in _spanning_tree(n, weighted)}
+                assert ours == scipy_edges(mat)
 
 
 class TestChainApproximation:

@@ -88,7 +88,7 @@ FAMILIES = {
 
 DIGESTS = {
     "chainify": "12782d75ce5d7e8f6fb8010fa5e4964c0cae0bf68f5769e234f52de60673644f",
-    "minmax_cover": "35d487d875529193972d85a1f10caee09ca2f8b03ed47f105dd2934346f01a2e",
+    "minmax_cover": "a3b16a4a7446d34f4e3cb70113cf30383591e95b7d1da0062549b13e9bb78a15",
     "exact_cover": "9b505587cc06fd51be6ef9b5fd6bb772c979495b897801b892ae696e9a0e6ce2",
     "tree": "90177e71462172694c676c55983e8ab73b3415648d60b299da627d6c9bf2e213",
 }

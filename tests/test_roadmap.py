@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import patrolsim
 from patrolsim.roadmap import (
     ChainRoadmap,
     MetricViolation,
@@ -16,7 +22,7 @@ from patrolsim.roadmap import (
     load_roadmap,
 )
 
-from conftest import brute_shortest_path, random_metric_roadmap
+from conftest import brute_shortest_path, exact_distances, random_metric_roadmap
 
 
 def unit_triangle() -> Roadmap:
@@ -76,6 +82,10 @@ class TestLoading:
         with pytest.raises(RoadmapError, match="disconnected"):
             Roadmap(["a", "b", "c"], [("a", "b", 1.0)])
 
+    def test_disconnected_reports_component_count(self):
+        with pytest.raises(RoadmapError, match=r"disconnected \(3 components\)"):
+            Roadmap(["a", "b", "c", "d"], [("c", "d", 1.0)])
+
     def test_nonpositive_length_rejected(self):
         with pytest.raises(RoadmapError, match="non-positive"):
             Roadmap(["a", "b"], [("a", "b", 0.0)])
@@ -96,6 +106,35 @@ class TestLoading:
                 strict_metric=False,
             )
         assert g.n == 3
+
+    def test_metric_check_is_exact(self):
+        # 0.1 + 0.2 rounds to 0.30000000000000004, but exactly the route
+        # through b is 2.8e-17 shorter than that edge, so the edge is not a
+        # shortest route and strict loading rejects it
+        edges = [("a", "b", 0.1), ("b", "c", 0.2), ("a", "c", 0.30000000000000004)]
+        assert Fraction(0.1) + Fraction(0.2) < Fraction(0.30000000000000004)
+        with pytest.raises(MetricViolation) as err:
+            Roadmap(["a", "b", "c"], edges)
+        assert err.value.triple == ("a", "c", 0.30000000000000004)
+        with pytest.warns(UserWarning, match="shorter by 2.7755575615628914e-17"):
+            g = Roadmap(["a", "b", "c"], edges, strict_metric=False)
+        # the exact route rounds (half to even) onto the edge's own length
+        assert g.distance("a", "c") == float(Fraction(0.1) + Fraction(0.2))
+        assert g.distance("a", "c") == 0.30000000000000004
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    code = (
+        "import sys, patrolsim, patrolsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(patrolsim.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestDistances:
@@ -131,6 +170,23 @@ class TestDistances:
                         assert g.distance(u, v) > 0.0
                     for w in g.ids:
                         assert g.distance(u, v) <= g.distance(u, w) + g.distance(w, v) + 1e-12
+
+    def test_distances_are_exact_shortest_paths_rounded_once(self, rng):
+        roadmaps = [random_metric_roadmap(rng, n_lo=3, n_hi=30) for _ in range(200)]
+        # dyadic grids with tied routes: every a-by-b cell has two shortest
+        # routes between opposite corners, and a diagonal chord ties both
+        for a, b in [(0.125, 0.375), (0.5, 0.5), (1.5, 0.25), (0.75, 3.0)]:
+            ids = [f"p{r}{c}" for r in range(3) for c in range(4)]
+            edges = [(f"p{r}{c}", f"p{r}{c + 1}", a) for r in range(3) for c in range(3)]
+            edges += [(f"p{r}{c}", f"p{r + 1}{c}", b) for r in range(2) for c in range(4)]
+            edges += [("p00", "p11", a + b), ("p12", "p23", a + b)]
+            roadmaps.append(Roadmap(ids, edges))
+        for g in roadmaps:
+            exact = exact_distances(g)
+            for i, u in enumerate(g.ids):
+                for j, v in enumerate(g.ids):
+                    assert g.distance(u, v) == float(exact[i][j])
+                    assert g.distance(u, v) == g.distance(v, u)
 
     def test_chain_agrees_with_general_representation(self, rng):
         coords = [0.0]
