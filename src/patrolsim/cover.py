@@ -87,11 +87,9 @@ def chainify(g: Roadmap) -> ChainifyResult:
     if g.n < 3:
         raise InfeasibleError("roadmaps with fewer than 3 vertices are chains already")
     unit, lengths = g.grid
-    mst = _spanning_tree(
-        g.n, ((g.index(u), g.index(v), w) for (u, v, _), w in zip(g.edges, lengths))
-    )
+    edges = ((g.index(u), g.index(v), w) for (u, v, _), w in zip(g.edges, lengths))
     adj: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(g.n)}
-    for i, j, w in mst:
+    for i, j, w in _spanning_tree(g.n, edges):
         adj[i].append((j, Fraction(w, unit)))
         adj[j].append((i, Fraction(w, unit)))
     for i in adj:
@@ -264,12 +262,8 @@ def minmax_path_cover(g: Roadmap, m: int) -> PathCover:
         raise InfeasibleError("need at least one robot")
     dist = g.distance_matrix()
     exact = g.grid_distances
-    mst_edges = [
-        (i, j, float(dist[i, j]))
-        for i, j, _ in _spanning_tree(
-            g.n, ((i, j, exact[i][j]) for i in range(g.n) for j in range(i + 1, g.n))
-        )
-    ]
+    closure = ((i, j, exact[i][j]) for i in range(g.n) for j in range(i + 1, g.n))
+    mst_edges = [(i, j, float(dist[i, j])) for i, j, _ in _spanning_tree(g.n, closure)]
     cand = {0.0}
     for i in range(g.n):
         for j in range(i + 1, g.n):

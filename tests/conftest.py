@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's code paths: the interval
 partition oracle is a dynamic program over prefixes, the latency oracle
 works on densely sampled traces with naive linear scans, the brute
 shortest-path oracle enumerates simple paths, and the exact distance
-oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  They exist to pin expected
-values independently of the implementations under test.
+oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  They exist to pin
+expected values independently of the implementations under test.
 """
 
 from __future__ import annotations
