@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roadmap", required=True)
     p.add_argument("-m", "--robots", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-9)
-    p.add_argument("--exact", action="store_true", help="use the exact quadratic search")
+    p.add_argument("--exact", action="store_true",
+                   help="use the exact search on the chain's integer grid")
     p.add_argument("--out", required=True)
 
     p = add("synth", _cmd_synth, help="synthesize a team trajectory")

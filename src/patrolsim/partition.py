@@ -5,7 +5,7 @@ ordered clusters, judged by their *dimension*: the longest coordinate span
 of any single cluster.  Twice the minimum dimension is the best achievable
 refresh time for m sweeping robots, so everything downstream keys off the
 two optimizers here: a bisection to tolerance ``eps`` over greedy covers
-and an exact quadratic-candidate search used as its oracle.
+and an exact search on the chain's integer grid used as its oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .roadmap import ChainRoadmap
 
@@ -38,11 +36,37 @@ class Partition:
     clusters: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if [idx for cluster in self.clusters for idx in cluster] == list(range(self.chain.n)):
-            return
+        # fast path: the nonempty clusters are consecutive index ranges from
+        # 0 to n-1, followed only by empty slots
+        n = self.chain.n
+        start = 0
+        for cluster in self.clusters:
+            if start == n:
+                if cluster:
+                    break
+            elif not cluster or cluster != tuple(range(start, start + len(cluster))):
+                break
+            start += len(cluster)
+        else:
+            if start == n:
+                return
+        self._reject()
+
+    def _reject(self) -> None:
+        """Raise the error that names what is wrong with ``clusters``."""
         seen: set[int] = set()
         last = -1
-        for cluster in self.clusters:
+        empty = None
+        for k, cluster in enumerate(self.clusters):
+            if not cluster:
+                if empty is None:
+                    empty = k
+                continue
+            if empty is not None:
+                raise ValueError(
+                    f"cluster {empty} is empty but cluster {k} is not: "
+                    "only trailing clusters may be empty"
+                )
             for idx in cluster:
                 if idx in seen:
                     raise ValueError(f"viewpoint {idx} appears in two clusters")
@@ -210,31 +234,70 @@ def optimal_partition_bisect(
     return padded, BisectionReport(a=a, b=b, iterations=iterations, eps=eps, partition=padded)
 
 
-def optimal_partition_exact(chain: ChainRoadmap, m: int) -> Partition:
-    """Exact minimum-dimension m-partition via candidate span enumeration.
+def _grid_greedy(xs: tuple[int, ...], rho: int, m: int) -> tuple[bool, int, list[int]]:
+    """One greedy pass over the grid ints ``xs`` with clusters of span at
+    most ``rho``, stopped once m clusters leave viewpoints over.
 
-    Every optimal span equals some pairwise coordinate difference, so it
-    suffices to test those n(n-1)/2 values (plus zero).  Feasibility of a
-    span is monotone, which lets a binary search pick the smallest feasible
-    candidate; ties break toward the smaller span by construction.
+    Returns (fits, bound, starts), where ``starts`` lists the first index of
+    each cluster built.  If the clusters fit in m, ``bound`` is the widest
+    span among them; otherwise it is the least reach xs[j] - xs[start] of
+    the m clusters, j being the first viewpoint past a cluster.
+    """
+    n = len(xs)
+    starts: list[int] = []
+    widest = 0
+    reach = None
+    i = 0
+    while i < n:
+        if len(starts) == m:
+            return False, reach, starts
+        starts.append(i)
+        x = xs[i]
+        j = bisect_right(xs, x + rho, i)
+        if xs[j - 1] - x > widest:
+            widest = xs[j - 1] - x
+        if j < n and (reach is None or xs[j] - x < reach):
+            reach = xs[j] - x
+        i = j
+    return True, widest, starts
+
+
+def optimal_partition_exact(chain: ChainRoadmap, m: int) -> Partition:
+    """Exact minimum-dimension m-partition, searched on the chain's grid.
+
+    The optimal span rho* is a difference of two grid ints
+    (``ChainRoadmap.grid``), and the greedy cover fits in m clusters
+    exactly when its span is at least rho*.  The search keeps a bracket
+    lo <= rho* <= hi, from [0, xs[-1] - xs[0]], and runs one int greedy per
+    round at mid = (lo + hi) // 2, stopped after m clusters:
+
+    - if it fits, every cluster spans at most its widest span w <= mid and
+      every reach exceeds mid, so the greedy is the same at any span in
+      [w, mid]: hi snaps down to w;
+    - if not, its first m clusters are the same, and leave viewpoints over,
+      at any span below their least reach r > mid: lo snaps up to r.
+
+    Both snaps land on grid differences and leave at most half the
+    bracket, so after at most (xs[-1] - xs[0]).bit_length() passes
+    lo == hi == rho*, and the greedy partition last found to fit is the one
+    at rho*.  Spans are compared as ints, so the result is exact on float
+    chains too.  The search shares no code with the bisection, which
+    criterion 1 checks against it.
     """
     _validate_m(chain, m)
-    coords = np.asarray(chain.coordinates)
-    diffs = (coords[None, :] - coords[:, None])[np.triu_indices(len(coords), k=1)]
-    candidates = np.unique(np.concatenate(([0.0], diffs)))
-    lo, hi = 0, len(candidates) - 1
-    # candidates[-1] spans the whole chain and is always feasible
+    xs = chain.grid[1]
+    n = len(xs)
+    lo, hi = 0, xs[-1] - xs[0]
+    best = [0]  # the greedy at the whole span is one cluster
     while lo < hi:
-        mid = (lo + hi) // 2
-        if left_induced_cardinality(chain, float(candidates[mid])) <= m:
-            hi = mid
+        fits, bound, starts = _grid_greedy(xs, (lo + hi) // 2, m)
+        if fits:
+            hi, best = bound, starts
         else:
-            lo = mid + 1
-    rho = float(candidates[lo])
-    assert left_induced_cardinality(chain, rho) <= m
-    if lo > 0:
-        assert left_induced_cardinality(chain, float(candidates[lo - 1])) > m
-    return left_induced_partition(chain, rho).padded(m)
+            lo = bound
+    ends = best[1:] + [n]
+    clusters = tuple(tuple(range(a, b)) for a, b in zip(best, ends))
+    return Partition(chain, clusters + ((),) * (m - len(clusters)))
 
 
 def partition_from_clusters(chain: ChainRoadmap, clusters) -> Partition:

@@ -48,6 +48,38 @@ def min_dimension_dp(coords, m: int) -> float:
     return dp[n]
 
 
+def min_span_dp_grid(xs, m: int) -> int:
+    """``min_dimension_dp`` on a chain's grid ints (``chain.grid[1]``): the
+    minimum max-span, times the grid unit, in exact int arithmetic."""
+    n = len(xs)
+    inf = xs[-1] - xs[0] + 1  # above every span
+    dp = [0] + [inf] * n
+    for _ in range(m):
+        ndp = [0] + [inf] * n
+        for j in range(1, n + 1):
+            best = dp[j]  # leave this cluster empty
+            for s in range(j):
+                cand = max(dp[s], xs[j - 1] - xs[s])
+                if cand < best:
+                    best = cand
+            ndp[j] = best
+        dp = ndp
+    return dp[n]
+
+
+def grid_greedy_clusters(xs, span: int) -> tuple[tuple[int, ...], ...]:
+    """Left-to-right greedy clusters of grid span at most ``span``, by a
+    linear scan: a viewpoint joins the open cluster while it lies within
+    ``span`` of the cluster's first viewpoint."""
+    clusters = [[0]]
+    for i in range(1, len(xs)):
+        if xs[i] - xs[clusters[-1][0]] <= span:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return tuple(tuple(c) for c in clusters)
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 

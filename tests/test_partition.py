@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patrolsim import partition as partition_module
+from patrolsim.cli import dispatch
 from patrolsim.partition import (
     InfeasibleError,
     Partition,
@@ -17,7 +22,7 @@ from patrolsim.partition import (
 )
 from patrolsim.roadmap import ChainRoadmap
 
-from conftest import min_dimension_dp, random_chain
+from conftest import grid_greedy_clusters, min_dimension_dp, min_span_dp_grid, random_chain
 
 
 CHAIN_0136 = ChainRoadmap([0, 1, 3, 6])
@@ -83,11 +88,28 @@ class TestPartitionValidation:
             (((0, 2), (1, 3)), "clusters are not interval-ordered"),
             (((0, 1), (3,)), "clusters do not cover all viewpoints"),
             (((0, 1, 2, 3, 4),), "clusters do not cover all viewpoints"),
+            (((0, 1), (), (2, 3)), "cluster 1 is empty but cluster 2 is not"),
+            (((), (0, 1, 2, 3)), "cluster 0 is empty but cluster 1 is not"),
         ],
     )
     def test_rejections(self, clusters, message):
         with pytest.raises(ValueError, match=message):
             partition_from_clusters(CHAIN_0136, clusters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    def test_accepts_exactly_ordered_covers(self, sizes):
+        # consecutive index ranges of the drawn sizes form a valid partition
+        # when they cover all six viewpoints and every empty one is trailing
+        chain = ChainRoadmap([0, 1, 2, 3, 4, 5])
+        bounds = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+        clusters = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        valid = bounds[-1] == 6 and sizes == sorted(sizes, key=lambda k: k == 0)
+        if valid:
+            assert partition_from_clusters(chain, clusters).cardinality == sum(map(bool, sizes))
+        else:
+            with pytest.raises(ValueError):
+                partition_from_clusters(chain, clusters)
 
 
 class TestExact:
@@ -185,11 +207,6 @@ def test_bisect_exact_property(gaps, data):
     assert 0 <= gap <= 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="optimal_partition_exact tests float differences of float coordinates, "
-    "so the optimum can lie between two of its candidates",
-)
 def test_exact_is_minimal_on_float_chain():
     gaps = [5.301554655979575, 1.301554655979575, 4.0, 5.301554655979575, 6.0,
             1.301554655979575, 9.301554655979576]
@@ -199,8 +216,86 @@ def test_exact_is_minimal_on_float_chain():
     chain = ChainRoadmap(coords)
     part, _ = optimal_partition_bisect(chain, 3, 1e-9)
     exact = optimal_partition_exact(chain, 3)
-    # today the exact answer is 2**-49 above the bisection's
     assert exact.dimension_exact <= part.dimension_exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.floats(0.05, 10.0),
+    steps=st.lists(st.sampled_from([0, 1, 4, -1, -2, -6]), min_size=2, max_size=24),
+    data=st.data(),
+)
+def test_exact_on_repeated_fractional_gaps(base, steps, data):
+    # gaps base, base+1 and base+4 share a fractional part up to rounding,
+    # mixed with whole gaps (a negative step k stands for the gap -k), so
+    # many coordinate differences tie or nearly tie in floats
+    coords = [0.0]
+    for k in steps:
+        coords.append(coords[-1] + (base + k if k >= 0 else float(-k)))
+    chain = ChainRoadmap(coords)
+    m = data.draw(st.integers(1, chain.n - 1))
+    unit, xs = chain.grid
+    span = min_span_dp_grid(xs, m)
+    exact = optimal_partition_exact(chain, m)
+    assert exact.dimension_exact == Fraction(span, unit)
+    greedy = grid_greedy_clusters(xs, span)
+    assert exact.clusters == greedy + ((),) * (m - len(greedy))
+
+
+def test_exact_at_scale(tmp_path):
+    # n = 1e4: the search holds the grid ints and one greedy's cluster
+    # starts, so its memory stays far below the n^2/2 candidate spans
+    rng = random.Random(12)
+    coords = [0.0]
+    for _ in range(9999):
+        coords.append(coords[-1] + rng.uniform(0.1, 10.0))
+    chain = ChainRoadmap(coords)
+    tracemalloc.start()
+    try:
+        exact = optimal_partition_exact(chain, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    part, _ = optimal_partition_bisect(chain, 50, 1e-9)
+    assert 0 <= part.dimension_exact - exact.dimension_exact <= 1e-9
+
+    roadmap = tmp_path / "chain.json"
+    roadmap.write_text(json.dumps({"kind": "chain", "coordinates": coords}))
+    out = tmp_path / "part.json"
+    rc = dispatch(["partition", "--roadmap", str(roadmap), "-m", "50", "--exact",
+                   "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["dimension"] == exact.dimension
+    assert doc["rho_interval"] == [exact.dimension, exact.dimension]
+
+
+def test_exact_passes_and_partitions_are_bounded(monkeypatch, rng):
+    # every greedy pass at least halves the bracket of grid spans, and only
+    # the final greedy is turned into a partition
+    passes, built = [], []
+    greedy = partition_module._grid_greedy
+    validate = Partition.__post_init__
+
+    def counting_greedy(*args):
+        passes.append(args)
+        return greedy(*args)
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(partition_module, "_grid_greedy", counting_greedy)
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    for _ in range(20):
+        chain = random_chain(rng, n_max=200)
+        xs = chain.grid[1]
+        passes.clear()
+        built.clear()
+        optimal_partition_exact(chain, rng.randint(1, chain.n - 1))
+        assert 0 < len(passes) <= (xs[-1] - xs[0]).bit_length() + 1
+        assert len(built) <= 2
 
 
 @settings(max_examples=60, deadline=None)
