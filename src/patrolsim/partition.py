@@ -25,7 +25,7 @@ class InfeasibleError(ValueError):
 class Partition:
     """Ordered interval clusters of chain viewpoints, padded to m slots.
 
-    ``clusters`` holds viewpoint indices; trailing entries may be empty.
+    ``clusters`` holds viewpoint indices; only trailing entries may be empty.
     Cluster extremes and lengths are exposed both as floats and as exact
     rationals (floats are views of the same coordinate values, so the two
     never disagree after rounding); the exact lengths are read off the
@@ -41,19 +41,17 @@ class Partition:
         n = self.chain.n
         start = 0
         for cluster in self.clusters:
-            if start == n:
-                if cluster:
-                    break
-            elif not cluster or cluster != tuple(range(start, start + len(cluster))):
+            if (not cluster and start < n) or cluster != tuple(range(start, start + len(cluster))):
                 break
             start += len(cluster)
         else:
             if start == n:
                 return
-        self._reject()
+        self._check_each_index()
 
-    def _reject(self) -> None:
-        """Raise the error that names what is wrong with ``clusters``."""
+    def _check_each_index(self) -> None:
+        """The fallback of ``__post_init__``: walks every index and raises a
+        ValueError naming the first fault it finds."""
         seen: set[int] = set()
         last = -1
         empty = None
