@@ -297,7 +297,11 @@ def _cmd_cover(args) -> int:
     if args.oracle:
         opt = exact_path_cover(g, args.robots)
         cert["optimal_cost"] = opt.cost
-        cert["factor"] = math.inf if opt.cost == 0 else cover.cost / opt.cost
+        if opt.cost == 0:
+            # an optimal cover of single vertices; bare Infinity is not JSON
+            cert["factor"] = 1.0 if cover.cost == 0 else "inf"
+        else:
+            cert["factor"] = cover.cost / opt.cost
     traj = path_cover_trajectory(cover, args.robots, horizon=max(1.0, 4.0 * cover.cost))
     cert["refresh_time"] = traj.refresh_time()
     Path(args.out).write_text(

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 
-import numpy as np
-
 from .partition import InfeasibleError, optimal_partition_bisect
 from .roadmap import ChainRoadmap, Roadmap
 from .trajectories import TeamTrajectory, min_refresh_trajectory
@@ -343,7 +341,10 @@ def exact_path_cover(g: Roadmap, m: int) -> PathCover:
 
     Computes minimum Hamiltonian-path costs for every vertex subset by
     dynamic programming, then searches all partitions into at most m parts
-    for the one minimizing the largest part cost.
+    for the one minimizing the largest part cost.  The DP tables are plain
+    lists of Python floats and ints: it reads one entry at a time, and
+    indexing a list is several times cheaper than making a numpy scalar.
+    The sums and strict comparisons are the same IEEE operations either way.
     """
     if g.n > EXACT_MAX_N or m > EXACT_MAX_M:
         raise InfeasibleError(
@@ -352,27 +353,29 @@ def exact_path_cover(g: Roadmap, m: int) -> PathCover:
     if m < 1:
         raise InfeasibleError("need at least one robot")
     n = g.n
-    dist = g.distance_matrix()
+    dist = g.distance_matrix().tolist()
     full = 1 << n
     inf = math.inf
     # best[S][v]: cheapest path visiting exactly S, ending at v
-    best = np.full((full, n), inf)
-    choice = np.full((full, n), -1, dtype=np.int64)
+    best = [[inf] * n for _ in range(full)]
+    choice = [[-1] * n for _ in range(full)]
     for v in range(n):
-        best[1 << v, v] = 0.0
+        best[1 << v][v] = 0.0
     for s in range(1, full):
+        best_s = best[s]
         for v in range(n):
-            if not s & (1 << v) or best[s, v] == inf:
+            if not s & (1 << v) or best_s[v] == inf:
                 continue
+            cost, dist_v = best_s[v], dist[v]
             for u in range(n):
                 if s & (1 << u):
                     continue
                 ns = s | (1 << u)
-                c = best[s, v] + dist[v, u]
-                if c < best[ns, u]:
-                    best[ns, u] = c
-                    choice[ns, u] = v
-    min_path = best.min(axis=1)
+                c = cost + dist_v[u]
+                if c < best[ns][u]:
+                    best[ns][u] = c
+                    choice[ns][u] = v
+    min_path = [min(row) for row in best]
 
     from functools import lru_cache
 
@@ -403,11 +406,11 @@ def exact_path_cover(g: Roadmap, m: int) -> PathCover:
     paths = []
     for s in split:
         members = [v for v in range(n) if s & (1 << v)]
-        v = min(members, key=lambda vv: best[s, vv])
+        v = min(members, key=lambda vv: best[s][vv])
         seq = [v]
         cur = s
-        while choice[cur, v] >= 0:
-            prev = int(choice[cur, v])
+        while choice[cur][v] >= 0:
+            prev = choice[cur][v]
             cur ^= 1 << v
             seq.append(prev)
             v = prev

@@ -5,7 +5,9 @@ ordered clusters, judged by their *dimension*: the longest coordinate span
 of any single cluster.  Twice the minimum dimension is the best achievable
 refresh time for m sweeping robots, so everything downstream keys off the
 two optimizers here: a bisection to tolerance ``eps`` over greedy covers
-and an exact search on the chain's integer grid used as its oracle.
+and an exact search on the chain's integer grid used as its oracle.  Every
+cluster they build is a slice of the chain's index tuple
+(``ChainRoadmap.indices``), and each call validates one ``Partition``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ class Partition:
     """Ordered interval clusters of chain viewpoints, padded to m slots.
 
     ``clusters`` holds viewpoint indices; only trailing entries may be empty.
+    Construction accepts consecutive clusters by comparing each with the
+    matching slice of ``chain.indices``, and walks every index to name the
+    fault only when one differs.
     Cluster extremes and lengths are exposed both as floats and as exact
     rationals (floats are views of the same coordinate values, so the two
     never disagree after rounding); the exact lengths are read off the
@@ -38,12 +43,14 @@ class Partition:
     def __post_init__(self):
         # fast path: the nonempty clusters are consecutive index ranges from
         # 0 to n-1, followed only by empty slots
-        n = self.chain.n
+        indices = self.chain.indices
+        n = len(indices)
         start = 0
         for cluster in self.clusters:
-            if (not cluster and start < n) or cluster != tuple(range(start, start + len(cluster))):
+            end = start + len(cluster)
+            if (not cluster and start < n) or cluster != indices[start:end]:
                 break
-            start += len(cluster)
+            start = end
         else:
             if start == n:
                 return
@@ -169,6 +176,22 @@ def left_induced_cardinality(chain: ChainRoadmap, rho: float) -> int:
     return k
 
 
+def _greedy_clusters(chain: ChainRoadmap, rho: float) -> tuple[tuple[int, ...], ...]:
+    """The clusters of ``left_induced_partition``, as slices of
+    ``chain.indices``, before any padding or validation."""
+    _check_rho(rho)
+    coords = chain.coordinates
+    indices = chain.indices
+    n = len(coords)
+    clusters: list[tuple[int, ...]] = []
+    i = 0
+    while i < n:
+        j = bisect_right(coords, coords[i] + rho, i)
+        clusters.append(indices[i:j])
+        i = j
+    return tuple(clusters)
+
+
 def left_induced_partition(chain: ChainRoadmap, rho: float) -> Partition:
     """Greedy partition from the left end: each cluster spans at most rho.
 
@@ -176,16 +199,7 @@ def left_induced_partition(chain: ChainRoadmap, rho: float) -> Partition:
     ``rho`` of its anchor; the next cluster anchors at the first viewpoint
     beyond that reach.  Each cluster costs one binary search.
     """
-    _check_rho(rho)
-    coords = chain.coordinates
-    n = len(coords)
-    clusters: list[tuple[int, ...]] = []
-    i = 0
-    while i < n:
-        j = bisect_right(coords, coords[i] + rho, i)
-        clusters.append(tuple(range(i, j)))
-        i = j
-    return Partition(chain, tuple(clusters))
+    return Partition(chain, _greedy_clusters(chain, rho))
 
 
 def _validate_m(chain: ChainRoadmap, m: int) -> None:
@@ -207,7 +221,8 @@ def optimal_partition_bisect(
     tested span whose greedy partition fits in m clusters.  The loop runs
     until the bracket is within ``eps``, which guarantees the returned
     dimension is at most eps above optimal and caps the iteration count at
-    ceil(log2(2 v_n / (eps m))).
+    ceil(log2(2 v_n / (eps m))).  The loop only counts clusters; the greedy
+    clusters at the final span are padded and validated as one partition.
     """
     _validate_m(chain, m)
     v_n = chain.length
@@ -223,13 +238,13 @@ def optimal_partition_bisect(
             a = rho
         else:
             b = rho
-    best = left_induced_partition(chain, b)
+    clusters = _greedy_clusters(chain, b)
     # b is the last span tested feasible, or the initial 2 v_n / m, which
     # admits m clusters as well
-    assert best.cardinality <= m
+    assert len(clusters) <= m
+    best = Partition(chain, clusters + ((),) * (m - len(clusters)))
     assert best.dimension < 2.0 * v_n / m
-    padded = best.padded(m)
-    return padded, BisectionReport(a=a, b=b, iterations=iterations, eps=eps, partition=padded)
+    return best, BisectionReport(a=a, b=b, iterations=iterations, eps=eps, partition=best)
 
 
 def _grid_greedy(xs: tuple[int, ...], rho: int, m: int) -> tuple[bool, int, list[int]]:
@@ -293,8 +308,9 @@ def optimal_partition_exact(chain: ChainRoadmap, m: int) -> Partition:
             hi, best = bound, starts
         else:
             lo = bound
+    indices = chain.indices
     ends = best[1:] + [n]
-    clusters = tuple(tuple(range(a, b)) for a, b in zip(best, ends))
+    clusters = tuple(indices[a:b] for a, b in zip(best, ends))
     return Partition(chain, clusters + ((),) * (m - len(clusters)))
 
 

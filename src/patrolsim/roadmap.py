@@ -204,6 +204,9 @@ class ChainRoadmap:
     the coordinates and each ``xs[i] = coords_exact[i] * U`` is an int.  It
     is computed on first use, so building a chain that is never synthesized
     on (the planners build them with 1e5 viewpoints) costs nothing more.
+    ``indices`` is ``tuple(range(n))``, also built on first use: every
+    partition cluster the library builds is a slice of it, so its ints are
+    made once per chain.
     """
 
     kind = "chain"
@@ -238,6 +241,10 @@ class ChainRoadmap:
     @cached_property
     def grid(self) -> tuple[int, tuple[int, ...]]:
         return _on_grid(self.coords_exact)
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(range(self.n))
 
     @property
     def n(self) -> int:

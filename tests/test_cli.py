@@ -235,6 +235,17 @@ class TestOtherCommands:
                          "--out", str(cov)]) == 0
         doc = json.loads(cov.read_text())
         assert doc["certificate"]["factor"] <= 4.0
+        # one robot per vertex: the cover is optimal at cost 0, and the
+        # certificate stays strict JSON
+        assert dispatch(["cover", "--roadmap", str(tri), "-m", "3", "--oracle",
+                         "--out", str(cov)]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"bare {name} in the certificate")
+
+        cert = json.loads(cov.read_text(), parse_constant=no_constant)["certificate"]
+        assert cert["cover_cost"] == cert["optimal_cost"] == 0.0
+        assert cert["factor"] == 1.0
         gamma = tmp_path / "gamma.json"
         assert dispatch(["chainify", "--roadmap", str(tri), "--out", str(gamma)]) == 0
         back = load_roadmap(json.loads(gamma.read_text()) | {"back_map": None})

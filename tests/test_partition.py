@@ -90,6 +90,8 @@ class TestPartitionValidation:
             (((0, 1, 2, 3, 4),), "clusters do not cover all viewpoints"),
             (((0, 1), (), (2, 3)), "cluster 1 is empty but cluster 2 is not"),
             (((), (0, 1, 2, 3)), "cluster 0 is empty but cluster 1 is not"),
+            # right lengths, reordered: the fast path's slice compare fails
+            (((1, 0), (2, 3)), "clusters are not interval-ordered"),
         ],
     )
     def test_rejections(self, clusters, message):
@@ -295,7 +297,7 @@ def test_exact_passes_and_partitions_are_bounded(monkeypatch, rng):
         built.clear()
         optimal_partition_exact(chain, rng.randint(1, chain.n - 1))
         assert 0 < len(passes) <= (xs[-1] - xs[0]).bit_length() + 1
-        assert len(built) <= 2
+        assert len(built) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,9 +317,10 @@ def test_bisect_returns_greedy_partition_at_b(gaps, data):
     assert left_induced_cardinality(chain, rep.a) > m
 
 
-def test_bisect_builds_at_most_two_partitions(monkeypatch, rng):
+def test_bisect_validates_one_partition(monkeypatch, rng):
     # the loop tests spans with the greedy count alone; only the final span
-    # is turned into a partition (and padded), whatever the iteration count
+    # is turned into a partition, padded before it is validated, whatever
+    # the iteration count
     built = []
     validate = Partition.__post_init__
 
@@ -331,7 +334,47 @@ def test_bisect_builds_at_most_two_partitions(monkeypatch, rng):
         built.clear()
         _, rep = optimal_partition_bisect(chain, rng.randint(1, chain.n - 1), 1e-9)
         assert rep.iterations >= 20
-        assert len(built) <= 2
+        assert len(built) == 1
+
+
+def test_bisect_at_scale():
+    # n = 1e5: once the chain has built its grid and index tuple, a call
+    # holds m slices of that tuple, not an int object per viewpoint
+    rng = random.Random(13)
+    coords = [0.0]
+    for _ in range(99999):
+        coords.append(coords[-1] + rng.uniform(0.1, 10.0))
+    chain = ChainRoadmap(coords)
+    m, eps = 201, 1e-9
+    first, _ = optimal_partition_bisect(chain, m, eps)
+    tracemalloc.start()
+    try:
+        part, _ = optimal_partition_bisect(chain, m, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert part == first
+    exact = optimal_partition_exact(chain, m)
+    assert 0 <= part.dimension_exact - exact.dimension_exact <= eps
+
+
+def test_clusters_are_plain_index_ranges(rng):
+    for _ in range(30):
+        chain = random_chain(rng, n_max=80)
+        m = rng.randint(1, chain.n - 1)
+        parts = [
+            left_induced_partition(chain, rng.uniform(0.0, chain.length)),
+            optimal_partition_bisect(chain, m, 1e-9)[0],
+            optimal_partition_exact(chain, m),
+        ]
+        for part in parts:
+            start = 0
+            for cluster in part.clusters:
+                assert type(cluster) is tuple
+                assert cluster == tuple(range(start, start + len(cluster)))
+                start += len(cluster)
+            assert start == chain.n
 
 
 def test_average_partition_is_not_minmax_optimal():
