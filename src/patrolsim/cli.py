@@ -281,7 +281,7 @@ def _cmd_tree(args) -> int:
     g = load_roadmap(args.roadmap, strict_metric=_strict(args))
     if not isinstance(g, TreeRoadmap):
         raise RoadmapError(f"{args.roadmap}: expected a tree roadmap")
-    coll = optimal_subtree_collection(g, args.robots, max_n=args.max_n)
+    coll = optimal_subtree_collection(g, args.robots)
     efficient_trajectory(coll, horizon=max(1.0, 2.0 * coll.objective))
     Path(args.out).write_text(json.dumps(coll.to_document(), indent=2) + "\n", "utf-8")
     _write_manifest("tree", _cfg(args), [args.roadmap], [args.out], args.out)
@@ -427,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tree", _cmd_tree, help="optimal subtree collection on a tree roadmap")
     p.add_argument("--roadmap", required=True)
     p.add_argument("-m", "--robots", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=15)
     p.add_argument("--out", required=True)
 
     p = add("cover", _cmd_cover, help="min-max path cover approximation")

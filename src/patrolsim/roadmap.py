@@ -14,9 +14,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -193,20 +195,42 @@ class TreeRoadmap(Roadmap):
             )
 
 
+def _raise_coordinate_fault(given: Sequence) -> None:
+    """Raise a RoadmapError naming the first fault of chain coordinates:
+    a value that is not a finite number, a first coordinate other than 0,
+    or a pair out of strictly increasing order."""
+    for i, c in enumerate(given):
+        if c != c or c in (math.inf, -math.inf):
+            raise RoadmapError(f"chain coordinate {i} is not a finite number: {c!r}")
+    # the messages print rationals as floats, so -0.0 prints as 0.0
+    exact = [Fraction(c) for c in given]
+    if exact[0] != 0:
+        raise RoadmapError(f"first chain coordinate must be 0, got {float(exact[0])!r}")
+    for a, b in zip(exact, exact[1:]):
+        if not b > a:
+            raise RoadmapError(
+                f"chain coordinates must be strictly increasing "
+                f"({float(a)!r} !< {float(b)!r})"
+            )
+
+
 class ChainRoadmap:
     """Chain of viewpoints given by strictly increasing arc-length coordinates.
 
     The first coordinate is pinned to zero; consecutive coordinate gaps are
-    the (implicit) edge lengths.  Coordinates are kept exactly as loaded;
+    the (implicit) edge lengths.  Coordinates are kept exactly as loaded:
+    they are validated as given (comparisons between ints, floats and
+    ``Fraction``s are exact), ``coordinates`` holds them as floats, and
     ``coords_exact`` exposes them as rationals.  The exact trajectory and
     metric computations read them on the chain's integer grid instead:
     ``grid`` is (U, xs), where the unit U is the least common denominator of
-    the coordinates and each ``xs[i] = coords_exact[i] * U`` is an int.  It
-    is computed on first use, so building a chain that is never synthesized
-    on (the planners build them with 1e5 viewpoints) costs nothing more.
-    ``indices`` is ``tuple(range(n))``, also built on first use: every
-    partition cluster the library builds is a slice of it, so its ints are
-    made once per chain.
+    the coordinates and each ``xs[i] = coords_exact[i] * U`` is an int.
+    ``coords_exact`` and ``grid`` are computed on first use, so building a
+    chain that is never synthesized on (the planners build them with 1e5
+    viewpoints) costs one float conversion per viewpoint.  ``indices`` is
+    ``tuple(range(n))``, also built on first use: every partition cluster
+    the library builds is a slice of it, so its ints are made once per
+    chain.
     """
 
     kind = "chain"
@@ -214,29 +238,34 @@ class ChainRoadmap:
     def __init__(self, coordinates: Sequence, ids: Sequence[str] | None = None):
         # rational inputs (e.g. exact cumulative tour lengths) are kept exact;
         # plain floats are rationals already, so nothing is ever approximated
-        exact = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coordinates)
-        if len(exact) < 2:
+        given = tuple(coordinates)
+        if len(given) < 2:
             raise RoadmapError("chain roadmap needs at least 2 viewpoints")
-        if exact[0] != 0:
-            raise RoadmapError(f"first chain coordinate must be 0, got {float(exact[0])!r}")
-        for a, b in zip(exact, exact[1:]):
-            if not b > a:
-                raise RoadmapError(
-                    f"chain coordinates must be strictly increasing "
-                    f"({float(a)!r} !< {float(b)!r})"
-                )
-        self.coords_exact = exact
-        self.coordinates = tuple(float(c) for c in exact)
+        # NaN fails every comparison and an infinity can only end a strictly
+        # increasing run from 0, so these three checks pass only valid chains
+        if not (
+            given[0] == 0
+            and all(map(operator.lt, given, islice(given, 1, None)))
+            and math.isfinite(given[-1])
+        ):
+            _raise_coordinate_fault(given)
+        self._given = given
+        # the first coordinate equals 0 and may be -0.0; it is stored as 0.0
+        self.coordinates = (0.0,) + tuple(map(float, islice(given, 1, None)))
         if ids is None:
-            ids = tuple(f"v{i+1}" for i in range(len(exact)))
+            ids = tuple(f"v{i+1}" for i in range(len(given)))
         else:
             ids = tuple(ids)
-            if len(ids) != len(exact):
+            if len(ids) != len(given):
                 raise RoadmapError("ids and coordinates length mismatch")
             if len(set(ids)) != len(ids):
                 raise RoadmapError("duplicate vertex ids")
         self.ids = ids
         self._index = {vid: i for i, vid in enumerate(ids)}
+
+    @cached_property
+    def coords_exact(self) -> tuple[Fraction, ...]:
+        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self._given)
 
     @cached_property
     def grid(self) -> tuple[int, tuple[int, ...]]:

@@ -5,8 +5,9 @@ length is twice the total edge weight and it is a shortest tour through all
 vertices.  The planner searches over *subtree collections*: remove a set of
 edges, patrol each resulting component with one or more robots equally
 spaced along its tour, and judge the plan by the worst per-component tour
-length divided by its robot count.  At desk scale the search is exhaustive
-over removable edge subsets and robot allocations, which is exact.
+length divided by its robot count.  A parametric DP over the tree finds
+the optimal plan exactly in time polynomial in n and m
+(``optimal_subtree_collection``).
 
 ``_closed_walk`` is the package's one tree walk: tours, chainification
 and the path cover's preorder walks all take it.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,37 +176,99 @@ def _label_components(links, n: int, kept, edge_w):
     return label, total
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _need_counter(m: int, lam: Fraction, seen: dict[int, int]):
+    """need(w): the robots a component of scaled weight w takes at the bound
+    ``lam`` on weight per robot, max(1, ceil(w / lam)), capped at m + 1.
+
+    Every weight asked about is recorded in ``seen`` with its answer, which
+    is all a DP pass at ``lam`` depends on.
+    """
+    P, Q = lam.numerator, lam.denominator
+    mP = m * P
+
+    def need(w: int) -> int:
+        wq = w * Q
+        a = 1 if wq <= P else m + 1 if wq > mP else -(-wq // P)
+        seen[w] = a
+        return a
+
+    return need
 
 
-def optimal_subtree_collection(
-    tree: TreeRoadmap, m: int, max_n: int = 15, max_m: int = 6
-) -> SubtreeCollection:
-    """Exhaustively optimal subtree collection for m robots.
+def _vertex_table(kids, tables, edge_w, cut, need, m: int):
+    """The DP table of one vertex, merged from its children's tables.
 
-    Enumerates all removable edge subsets yielding at most m components and
-    all positive robot allocations onto them, minimizing the worst tour
-    length per robot.  Ties break toward fewer removed edges, then toward
-    the lexicographically first edge subset and allocation.
+    An entry (k, c, w) is a plan of the vertex's subtree: k robots on the
+    closed components below it, c cut edges, and w the weight of the open
+    component that holds the vertex.  A kept child edge adds the child's
+    open weight plus the edge to w; a cut one closes the child's component
+    with need of its weight robots, and an edge marked in ``cut`` must be
+    cut.  An entry stays only while no other is as good in k, c and w at
+    once, and while k + need(w) <= m: an open component never gets lighter.
+    """
+    table = [(0, 0, 0)]
+    for u, i in kids:
+        sub, we = tables[u], edge_w[i]
+        out = []
+        if not cut[i]:
+            for k2, c2, w2 in sub:
+                w2 += we
+                out += [(k1 + k2, c1 + c2, w1 + w2) for k1, c1, w1 in table]
+        closed: dict[int, int] = {}  # cuts -> fewest robots closing the child
+        for k2, c2, w2 in sub:
+            k2 += need(w2)
+            if k2 < closed.get(c2 + 1, m):
+                closed[c2 + 1] = k2
+        for c2, k2 in closed.items():
+            out += [(k1 + k2, c1 + c2, w1) for k1, c1, w1 in table]
+        out.sort()
+        table = []
+        low = [math.inf] * m  # low[c]: least w kept with at most c cuts
+        for k, c, w in out:
+            if k >= m or low[c] <= w or k + need(w) > m:
+                continue
+            table.append((k, c, w))
+            while c < m and low[c] > w:
+                low[c] = w
+                c += 1
+    return table
 
-    The search runs in exact integer arithmetic: edge weights are read on
-    the tree's integer grid (``Roadmap.grid``), and the objective
-    2 W_j / m_j is compared by cross-multiplication.
+
+def optimal_subtree_collection(tree: TreeRoadmap, m: int) -> SubtreeCollection:
+    """Optimal subtree collection for m robots.
+
+    Removing r < m edges leaves r + 1 components; component j of edge
+    weight W_j ridden by a_j robots refreshes in 2 W_j / a_j.  The plan
+    minimizes the worst of these over every edge subset and every positive
+    allocation.  Ties break toward fewer removed edges, then toward the
+    lexicographically first edge subset and allocation.
+
+    The search is a parametric tree DP in exact integer arithmetic on the
+    tree's grid (``Roadmap.grid``).  A bound lam on W_j / a_j is feasible
+    when some plan needs at most m robots, a component of weight W needing
+    need(W) = max(1, ceil(W / lam)).  One post-order pass decides it; each
+    vertex keeps at most one entry per robot count and cut count below m,
+    so a pass merges at most O(n m^4) pairs of entries.
+
+    The optimum lam* is some W / a with a <= m, and two such values differ
+    by at least 1/m^2.  It is bracketed from above by W_total / m, which
+    all m robots riding the whole tree achieve, and from below by the
+    weight left after the m - 1 heaviest edges, over m.  A pass depends on
+    lam only through the needs it evaluates, and need(W) = a holds for lam
+    in [W / a, W / (a - 1)); needs above m are all alike, as no plan
+    affords them.  So a feasible midpoint lowers the top to the largest
+    W / a it evaluated with a <= m, and an infeasible one raises the bottom
+    to the least W / (a - 1), which is W / m for a need past m: both ends
+    stay values W / a with a <= m.  Once the bracket is narrower than
+    1/m^2, its top is lam*.
+
+    At lam*, the pass gives the fewest cuts r, and each edge in index order
+    is cut if a feasible r-cut plan still exists with it cut.  Each component then takes its need and the last one the
+    robots left over, the first allocation in order.
     """
     if m < 1:
         raise InfeasibleError("need at least one robot")
-    if tree.n > max_n or m > max_m:
-        raise InfeasibleError(
-            f"exhaustive search is limited to n <= {max_n}, m <= {max_m}; "
-            "use the chain or path-cover approximations for larger instances"
-        )
-    edges = list(tree.edges)
+    edges = tree.edges
     n = tree.n
     edge_w = tree.grid[1]
     # root the tree at vertex 0: ``order`` lists every vertex after its
@@ -221,46 +284,72 @@ def optimal_subtree_collection(
                 up[u] = (v, i)
                 order.append(u)
     links = [(v,) + up[v] for v in order[1:]]
-    # removing r edges from a tree leaves exactly r + 1 components
-    allocs = {k: tuple(_compositions(m, k)) for k in range(2, m + 1)}
+    kids: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    parent: list[int | None] = [None] * n
+    upper = [0] * len(edges)  # the parent end of each edge
+    for v, p, i in links:
+        kids[p].append((v, i))
+        parent[v] = upper[i] = p
+    cut = [False] * len(edges)
 
-    # the whole tree ridden by all m robots is the first candidate; the
-    # enumeration runs in (r, removed_idx, alloc) order, so keeping only a
-    # strictly smaller objective keeps the documented tie-breaking
-    best_w, best_m = sum(edge_w), m
-    best = ((), (m,))
-    for r in range(1, min(m, len(edges) + 1)):
-        for removed_idx in combinations(range(len(edges)), r):
-            kept = [True] * len(edges)
-            for i in removed_idx:
-                kept[i] = False
-            label, total = _label_components(links, n, kept, edge_w)
-            weights = [total[c] for c in dict.fromkeys(label)]
-            # a component of weight w beats the best ratio only with more than
-            # w * best_m / best_w robots; skip subsets that need more than m
-            if best_w == 0 or sum(wj * best_m // best_w + 1 for wj in weights) > m:
-                continue
-            for alloc in allocs[r + 1]:
-                # strictly better only when every ratio w/a beats the best
-                for wj, mj in zip(weights, alloc):
-                    if wj * best_m >= best_w * mj:
-                        break
-                else:
-                    best_w, best_m = weights[0], alloc[0]
-                    for wj, mj in zip(weights, alloc):
-                        if wj * best_m > best_w * mj:
-                            best_w, best_m = wj, mj
-                    best = (removed_idx, alloc)
-    removed_idx, alloc = best
-    removed = tuple((edges[i][0], edges[i][1]) for i in removed_idx)
-    kept = [i not in removed_idx for i in range(len(edges))]
-    label, _ = _label_components(links, n, kept, edge_w)
+    def tables_at(lam, seen):
+        need = _need_counter(m, lam, seen)
+        tables: list = [None] * n
+        for v in reversed(order):
+            tables[v] = _vertex_table(kids[v], tables, edge_w, cut, need, m)
+        return tables, need
+
+    total = sum(edge_w)
+    lo = Fraction(total - sum(sorted(edge_w, reverse=True)[: m - 1]), m)
+    hi = Fraction(total, m)
+    while (hi - lo) * m * m >= 1:
+        mid = (lo + hi) / 2
+        seen: dict[int, int] = {}
+        tables, _ = tables_at(mid, seen)
+        feasible = bool(tables[0])  # a root entry is a plan within m robots
+        # snap to where the outcome can first change: down to the largest
+        # w / a with a <= m, or up to the least w / (a - 1); the ratios are
+        # compared by cross-multiplication, starting from 0 or infinity
+        bw, ba = (0, 1) if feasible else (1, 0)
+        for w, a in seen.items():
+            if not feasible:
+                a -= 1
+            if 0 < a <= m and (w * ba > bw * a) == feasible:
+                bw, ba = w, a
+        if feasible:
+            hi = Fraction(bw, ba)
+        else:
+            lo = Fraction(bw, ba)
+
+    tables, need = tables_at(hi, {})
+    r = min(c for _, c, _ in tables[0])
+    # forcing an edge cut changes only the tables on its way to the root;
+    # an edge left uncut here is cut by no remaining r-cut plan, so it
+    # needs no forcing of its own
+    removed_idx = []
+    for i in range(len(edges)):
+        if len(removed_idx) == r:
+            break
+        cut[i] = True
+        trial = tables[:]
+        v = upper[i]
+        while v is not None:
+            trial[v] = _vertex_table(kids[v], trial, edge_w, cut, need, m)
+            v = parent[v]
+        if any(c <= r for _, c, _ in trial[0]):
+            tables = trial
+            removed_idx.append(i)
+        else:
+            cut[i] = False
+    label, weight = _label_components(links, n, [not c for c in cut], edge_w)
     comps: dict[int, list[str]] = {}
     for v, c in enumerate(label):
         comps.setdefault(c, []).append(tree.ids[v])
+    alloc = [need(weight[c]) for c in comps]
+    alloc[-1] += m - sum(alloc)
     return SubtreeCollection(
         tree=tree,
-        removed_edges=removed,
+        removed_edges=tuple((edges[i][0], edges[i][1]) for i in removed_idx),
         subtrees=tuple(tuple(c) for c in comps.values()),
         allocation=tuple(alloc),
     )

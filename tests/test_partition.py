@@ -337,6 +337,16 @@ def test_bisect_validates_one_partition(monkeypatch, rng):
         assert len(built) == 1
 
 
+def test_bisect_builds_no_exact_view(rng):
+    # the search and its closing check read float coordinates only, so a
+    # fresh chain builds neither its rationals nor its grid
+    for _ in range(5):
+        chain = random_chain(rng, n_max=200)
+        optimal_partition_bisect(chain, rng.randint(1, chain.n - 1), 1e-9)
+        assert "grid" not in chain.__dict__
+        assert "coords_exact" not in chain.__dict__
+
+
 def test_bisect_at_scale():
     # n = 1e5: once the chain has built its grid and index tuple, a call
     # holds m slices of that tuple, not an int object per viewpoint

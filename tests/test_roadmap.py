@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import patrolsim
+from patrolsim.cover import chainify
 from patrolsim.roadmap import (
     ChainRoadmap,
     MetricViolation,
@@ -221,3 +222,66 @@ class TestChainInvariants:
     def test_strictly_increasing(self):
         with pytest.raises(RoadmapError):
             ChainRoadmap([0.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_non_finite_coordinate_named(self, bad, at):
+        coords = [0.0, 1.0, 2.5, 4.0, 7.0]
+        coords[at] = bad
+        with pytest.raises(RoadmapError, match=f"chain coordinate {at} is not a finite number"):
+            ChainRoadmap(coords)
+
+    def test_views_and_errors_match_fraction_reference(self, rng):
+        # random float, int and Fraction chains, chains from chainify, and
+        # the same chains with one fault each
+        chains = [[-0.0, 1.5, 2.0], [0, 1, Fraction(1) + Fraction(1, 10**30)]]
+        for _ in range(30):
+            n = rng.randint(2, 30)
+            floats = [0.0]
+            for _ in range(n - 1):
+                floats.append(floats[-1] + rng.uniform(0.01, 5.0))
+            ints = [0] + [rng.randint(1, 2**70) for _ in range(n - 1)]
+            ints = [sum(ints[: i + 1]) for i in range(n)]
+            tour = list(chainify(random_metric_roadmap(rng)).chain.coords_exact)
+            chains += [floats, ints, tour]
+        for coords in chains[:]:
+            for fault in range(3):
+                bad = list(coords)
+                i = rng.randrange(1, len(bad))
+                if fault == 0:
+                    bad[0] = bad[i]
+                elif fault == 1:
+                    bad[i] = bad[i - 1]
+                else:
+                    bad[i - 1], bad[i] = bad[i], bad[i - 1]
+                chains.append(bad)
+        for coords in chains:
+            want = fraction_chain_reference(coords)
+            try:
+                chain = ChainRoadmap(coords)
+            except RoadmapError as exc:
+                assert str(exc) == want
+            else:
+                got = (chain.coordinates, chain.coords_exact, chain.grid)
+                assert got == want
+                assert all(math.copysign(1.0, c) == 1.0 for c in chain.coordinates)
+
+
+def fraction_chain_reference(coordinates):
+    """The chain constructor as it was written in ``Fraction`` arithmetic:
+    (coordinates, coords_exact, grid), or the message of the RoadmapError
+    it raised."""
+    exact = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coordinates)
+    if len(exact) < 2:
+        return "chain roadmap needs at least 2 viewpoints"
+    if exact[0] != 0:
+        return f"first chain coordinate must be 0, got {float(exact[0])!r}"
+    for a, b in zip(exact, exact[1:]):
+        if not b > a:
+            return (
+                f"chain coordinates must be strictly increasing "
+                f"({float(a)!r} !< {float(b)!r})"
+            )
+    unit = math.lcm(*(x.denominator for x in exact))
+    grid = (unit, tuple(x.numerator * (unit // x.denominator) for x in exact))
+    return tuple(float(c) for c in exact), exact, grid

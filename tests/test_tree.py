@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -7,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from patrolsim.cli import dispatch
 from patrolsim.cover import chainify
 from patrolsim.partition import InfeasibleError
 from patrolsim.roadmap import TreeRoadmap
@@ -234,12 +237,60 @@ class TestOptimalSubtreeCollection:
             objs = [optimal_subtree_collection(t, m).objective for m in (1, 2, 3, 4)]
             assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
 
-    def test_size_limits(self):
-        big = unit_path(20)
-        with pytest.raises(InfeasibleError, match="approximation"):
-            optimal_subtree_collection(big, 2)
-        with pytest.raises(InfeasibleError):
-            optimal_subtree_collection(unit_star(), 7)
+    @pytest.mark.parametrize(
+        "tree, m", [(unit_path(20), 2), (unit_star(), 7)], ids=["path21-m2", "star-m7"]
+    )
+    def test_any_size_matches_oracle(self, tree, m):
+        # a 21-vertex path and more robots than vertices: neither size is
+        # special to the DP
+        coll = optimal_subtree_collection(tree, m)
+        got = (coll.removed_edges, coll.subtrees, coll.allocation, coll.objective_exact)
+        assert got == subtree_search_oracle(tree, m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 11),
+        weights=st.sampled_from(["integer", "dyadic", "uniform"]),
+        m=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_oracle_property(self, n, weights, m, data):
+        draw = {
+            "integer": st.integers(1, 3).map(float),
+            "dyadic": st.sampled_from([0.25, 0.5, 1.5, 2.75]),
+            "uniform": st.floats(0.2, 3.0),
+        }[weights]
+        ids = [f"v{i}" for i in range(n)]
+        edges = [
+            (ids[i], ids[data.draw(st.integers(0, i - 1))], data.draw(draw))
+            for i in range(1, n)
+        ]
+        t = TreeRoadmap(ids, edges)
+        coll = optimal_subtree_collection(t, m)
+        got = (coll.removed_edges, coll.subtrees, coll.allocation, coll.objective_exact)
+        assert got == subtree_search_oracle(t, m)
+
+    def test_matches_oracle_on_larger_trees(self):
+        # the oracle's cost is exponential in m only, so a few robots reach
+        # trees of 20 to 40 vertices
+        rng = random.Random("subtree-large")
+        for _ in range(4):
+            t = random_tree(rng, n_lo=20, n_hi=40)
+            for m in (1, 2, 3):
+                coll = optimal_subtree_collection(t, m)
+                got = (coll.removed_edges, coll.subtrees, coll.allocation, coll.objective_exact)
+                assert got == subtree_search_oracle(t, m)
+
+    @pytest.mark.parametrize("k, m", [(29, 5), (299, 10), (1201, 2)])
+    def test_unit_path_closed_form(self, k, m):
+        # m - 1 cuts leave k - m + 1 edges, at best shared evenly by m
+        # components of one robot each; when m divides k - m + 1 that bound
+        # is met.  The 1201-edge path is deeper than the recursion limit.
+        assert (k - m + 1) % m == 0
+        coll = optimal_subtree_collection(unit_path(k), m)
+        assert coll.objective_exact == Fraction(2 * (k - m + 1), m)
+        assert len(coll.removed_edges) == m - 1
+        assert coll.allocation == (1,) * m
 
     @pytest.mark.parametrize("weights", ["integer", "dyadic", "uniform"])
     def test_matches_fraction_oracle(self, weights):
@@ -267,3 +318,21 @@ class TestOptimalSubtreeCollection:
         assert doc["objective"] == 3.0
         assert doc["allocation"] == [2]
         assert doc["tours"][0]["length"] == 6.0
+
+
+def test_tree_command_on_a_large_tree(tmp_path):
+    # 40 vertices and 8 robots: a plan the CLI once refused
+    t = random_tree(random.Random("tree-cli"), n_lo=40, n_hi=40)
+    doc = {
+        "kind": "tree",
+        "vertices": [{"id": v} for v in t.ids],
+        "edges": [{"u": u, "v": v, "length": w} for u, v, w in t.edges],
+    }
+    roadmap, plan = tmp_path / "tree.json", tmp_path / "plan.json"
+    roadmap.write_text(json.dumps(doc))
+    assert dispatch(["tree", "--roadmap", str(roadmap), "-m", "8", "--out", str(plan)]) == 0
+    written = plan.read_text()
+    assert json.loads(written) == optimal_subtree_collection(t, 8).to_document()
+    manifest = tmp_path / "plan.json.manifest.json"
+    assert dispatch(["rerun", "--manifest", str(manifest)]) == 0
+    assert plan.read_text() == written
