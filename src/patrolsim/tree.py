@@ -176,7 +176,7 @@ def _label_components(links, n: int, kept, edge_w):
     return label, total
 
 
-def _need_counter(m: int, lam: Fraction, seen: dict[int, int]):
+def _need_at(m: int, lam: Fraction, seen: dict[int, int]):
     """need(w): the robots a component of scaled weight w takes at the bound
     ``lam`` on weight per robot, max(1, ceil(w / lam)), capped at m + 1.
 
@@ -293,7 +293,7 @@ def optimal_subtree_collection(tree: TreeRoadmap, m: int) -> SubtreeCollection:
     cut = [False] * len(edges)
 
     def tables_at(lam, seen):
-        need = _need_counter(m, lam, seen)
+        need = _need_at(m, lam, seen)
         tables: list = [None] * n
         for v in reversed(order):
             tables[v] = _vertex_table(kids[v], tables, edge_w, cut, need, m)

@@ -321,7 +321,7 @@ class TestOptimalSubtreeCollection:
 
 
 def test_tree_command_on_a_large_tree(tmp_path):
-    # 40 vertices and 8 robots: a plan the CLI once refused
+    # 40 vertices and 8 robots, planned and replayed from the manifest
     t = random_tree(random.Random("tree-cli"), n_lo=40, n_hi=40)
     doc = {
         "kind": "tree",
