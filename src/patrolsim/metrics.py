@@ -345,18 +345,29 @@ def refresh_time_from_trace(
     cap: float | None = None,
     strict: bool = False,
 ) -> float:
-    """Refresh time from a sampled trace (rows: times, cols: robots).
+    """Refresh time from a sampled trace (rows: times, cols: robots) over
+    the window [warmup, T], T the last sample time.
 
     Boundary gaps follow ``max_revisit_gap``'s rule for ``cap`` and
-    ``strict``.
+    ``strict``.  The scan starts at the last sample strictly before the
+    warmup: a crossing whose step ends at or after the warmup is kept, a
+    dwell that straddles it is clipped to it, and everything earlier ends
+    before the window, so the result is that of a scan of the whole trace.
+    Raises ``ValueError`` unless ``times[0] <= warmup < T``.
     """
     t0, t1 = warmup, float(times[-1])
+    if not times[0] <= t0 < t1:
+        raise ValueError(f"warmup {t0} outside the trace [{float(times[0])}, {t1})")
+    k0 = max(int(np.searchsorted(times, t0)) - 1, 0)
+    times = times[k0:]
+    tracks = np.ascontiguousarray(positions[k0:].T)  # one row per robot
+    lows = (tracks.min(axis=1) - eta).tolist()
+    highs = (tracks.max(axis=1) + eta).tolist()
     worst = 0.0
     for v in coords:
         eps = []
-        for i in range(positions.shape[1]):
-            xs = positions[:, i]
-            if xs.min() - eta <= v <= xs.max() + eta:
+        for xs, lo, hi in zip(tracks, lows, highs):
+            if lo <= v <= hi:
                 eps.extend(_visit_episodes_sampled(times, xs, v, eta))
         worst = max(worst, max_revisit_gap(eps, t0, t1, cap, strict))
         if worst == math.inf:

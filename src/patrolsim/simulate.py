@@ -19,6 +19,14 @@ exactly on it, which keeps meetings grid-exact in the noiseless case.
 Robots holding position station-keep toward their boundary viewpoint so
 actuation noise cannot let them drift away.
 
+Every rule of a step reads the robots' at-boundary flags as they stood at
+the step's start.  The kernel computes them once on entry; after that each
+live robot computes its next flags from the position it has just written,
+into a second pair of lists that is swapped in at the end of the step, so
+a neighbor later in the same pass still reads the start-of-step value.
+The kernel extends flat lists of positions and directions, which become
+the trace's rows in one conversion per segment.
+
 Failures: a failed robot freezes in place and stops communicating.
 Permanent failures are detected by per-pair communication timeouts, after
 which the survivors repartition the chain among themselves and resume.
@@ -145,34 +153,42 @@ class Trace:
         write_trace_rows(path, self.times, self.positions, self.dirs, tags)
 
 
+_SPEED = (0.0, 1.0, -1.0)  # float(d) for a direction d in {0, 1, -1}
+
+
 def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
     """Advance the team one step per row of ``noise``, from global step ``k0``.
 
-    Works on the Python lists of ``st`` in place.  Appends each step's
-    positions and directions to ``out_pos``/``out_dir`` and each meeting as
-    ``(step, pair)`` to ``comm``.  Returns the number of steps taken and the
-    pair whose communication timeout fired (-1 when none did).
+    Works on the Python lists of ``st`` in place.  Extends the flat lists
+    ``out_pos``/``out_dir`` by each step's positions and directions, in team
+    order, and appends each meeting as ``(step, pair)`` to ``comm``.
+    Returns the number of steps taken and the pair whose communication
+    timeout fired (-1 when none did).
     """
     pos, dirv, hold, timer, pend = st.pos, st.dir, st.hold, st.timer, st.pend
     a_time, nmeet, latch, last_comm = st.a_time, st.nmeet, st.latch, st.last_comm
     l, r, left_ext, right_ext, delta = st.l, st.r, st.left_ext, st.right_ext, st.delta
     failed, eta = st.failed, st.eta
     nan = math.nan
-    live = [not f for f in failed]
-    any_failed = not all(live)
-    # a failed robot is at neither of its boundaries: comparisons with NaN fail
-    l_live = [b if lv else nan for b, lv in zip(l, live)]
-    r_live = [b if lv else nan for b, lv in zip(r, live)]
     ma = len(pos)
-    robots = range(ma)
+    live = [i for i in range(ma) if not failed[i]]
+    lo = [b - eta for b in l]
+    hi = [b + eta for b in r]
+    # start-of-step boundary flags (-eta <= x - b <= eta is abs(x - b) <= eta);
+    # a failed robot is at neither of its boundaries, so its flags stay
+    # False in both pairs
+    at_l = [False] * ma
+    at_r = [False] * ma
+    for i in live:
+        x = pos[i]
+        at_l[i] = -eta <= x - l[i] <= eta
+        at_r[i] = -eta <= x - r[i] <= eta
+    nx_l = at_l[:]
+    nx_r = at_r[:]
     pairs = range(ma - 1)
     for k, vel_noise in enumerate(noise):
         step = k0 + k
         t = step * dt
-        # positions only change in the integration below, so every boundary
-        # test of this step reads the same start-of-step flags
-        at_l = [abs(x - b) <= eta for x, b in zip(pos, l_live)]
-        at_r = [abs(x - b) <= eta for x, b in zip(pos, r_live)]
         # pair meetings: latch once per joint dwell at the shared boundary
         for p in pairs:
             if not (at_r[p] and at_l[p + 1]):
@@ -214,29 +230,28 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
             else:
                 dirv[j] = 0
                 hold[j] = l[j]
-        # one pass per robot: its timer, boundary rule and integration touch
-        # only its own state, and it reads its neighbors through the flags
-        for i in robots:
-            if failed[i]:
-                continue
+        # one pass per live robot: its timer, boundary rule and integration
+        # touch only its own state, and it reads its neighbors through the
+        # start-of-step flags, so its new flags go to the other pair
+        for i in live:
             # timers fire before integration so zero-length waits cost nothing
             ti = timer[i]
             if ti >= 0.0:
                 if ti <= 1e-12:
-                    timer[i] = -1.0
+                    ti = timer[i] = -1.0
                     dirv[i] = pend[i]
                     hold[i] = nan
                 else:
-                    timer[i] = ti - dt
+                    ti = timer[i] = ti - dt
             x = pos[i]
             li = l[i]
             ri = r[i]
             # boundary rules: chain ends reverse, others hold for their neighbor
-            if timer[i] < 0.0:
-                if x < li - eta:
+            if ti < 0.0:
+                if x < lo[i]:
                     dirv[i] = 1
                     hold[i] = nan
-                elif x > ri + eta:
+                elif x > hi[i]:
                     dirv[i] = -1
                     hold[i] = nan
                 elif at_l[i] and dirv[i] <= 0:
@@ -256,7 +271,7 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
             # integrate with event correction at cluster boundaries
             d = dirv[i]
             if d != 0:
-                u = float(d)
+                u = _SPEED[d]
             else:
                 h = hold[i]
                 if h != h:  # NaN: nothing to station-keep toward
@@ -268,7 +283,7 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
                     elif u < -1.0:
                         u = -1.0
             newpos = x + (u + vel_noise[i]) * dt
-            if li - eta <= x <= ri + eta:
+            if lo[i] <= x <= hi[i]:
                 if newpos >= ri:
                     if d > 0 and x < ri:
                         a_time[i] = t + dt
@@ -282,11 +297,12 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
                 newpos = ri
                 a_time[i] = t + dt
             pos[i] = newpos
-        out_pos.append(pos[:])
-        if any_failed:
-            out_dir.append([d if lv else 0 for d, lv in zip(dirv, live)])
-        else:
-            out_dir.append(dirv[:])
+            nx_l[i] = -eta <= newpos - li <= eta
+            nx_r[i] = -eta <= newpos - ri <= eta
+        at_l, nx_l = nx_l, at_l
+        at_r, nx_r = nx_r, at_r
+        out_pos.extend(pos)
+        out_dir.extend(dirv)
         # communication-timeout failure detection
         if theta > 0.0:
             for p in pairs:
@@ -359,6 +375,13 @@ def _validate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> None
                 f"failure window of robot {fw.robot} must end after its start {fw.start}, "
                 f"got end {fw.end}"
             )
+        for what, t in (("start", fw.start), ("end", fw.end)):
+            steps = t / cfg.dt
+            if math.isfinite(t) and abs(steps - round(steps)) > 1e-9:
+                raise ValueError(
+                    f"failure window of robot {fw.robot} must {what} on a step of "
+                    f"dt={cfg.dt}, got {t}"
+                )
     lengths = [partition.length(i) for i in partition.active]
     positive = [d for d in lengths if d > 0]
     if positive and cfg.dt >= min(positive) / 4.0:
@@ -382,11 +405,14 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     state = _TeamState(chain, partition, list(range(m)), rng, cfg.eta)
 
     # noise rows are indexed by global step, columns by original robot id,
-    # so segmentation and repartition never change which draw a robot sees
+    # so segmentation and repartition never change which draw a robot sees;
+    # ``lanes`` holds the active robots' columns in team order (a view
+    # until a repartition drops a robot)
     if cfg.sigma2 > 0.0:
         noise = rng.normal(0.0, math.sqrt(cfg.sigma2), size=(steps, m))
+        lanes = noise[:, : len(state.robot_ids)]
     else:
-        noise = None
+        noise = lanes = None
 
     out_pos = np.empty((steps + 1, m))
     out_dir = np.zeros((steps + 1, m), dtype=np.int8)
@@ -414,18 +440,22 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
 
     def run_segment(st: _TeamState, k0: int, k1: int) -> tuple[int, int]:
         cols = st.robot_ids
-        if noise is None:
-            seg_noise = [[0.0] * len(cols)] * (k1 - k0)
+        ma = len(cols)
+        if lanes is None:
+            seg_noise = [[0.0] * ma] * (k1 - k0)
         else:
-            seg_noise = noise[k0:k1, cols].tolist()
-        seg_pos: list[list[float]] = []
-        seg_dir: list[list[int]] = []
+            seg_noise = lanes[k0:k1].tolist()
+        seg_pos: list[float] = []
+        seg_dir: list[int] = []
         comm: list[tuple[int, int]] = []
         done, pair = _step_kernel(
             st, k0, cfg.dt, seg_noise, seg_pos, seg_dir, comm, theta, detect_from
         )
-        out_pos[k0 + 1 : k0 + done + 1, cols] = seg_pos
-        out_dir[k0 + 1 : k0 + done + 1, cols] = seg_dir
+        rows = slice(k0 + 1, k0 + done + 1)
+        out_pos[rows, cols] = np.array(seg_pos, dtype=np.float64).reshape(done, ma)
+        dirs = np.array(seg_dir, dtype=np.int8).reshape(done, ma)
+        dirs[:, [i for i, f in enumerate(st.failed) if f]] = 0  # failed robots stand still
+        out_dir[rows, cols] = dirs
         events.extend((step * cfg.dt, "comm", cols[p], cols[p + 1]) for step, p in comm)
         return done, pair
 
@@ -482,6 +512,8 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             state.dir = [old_dir[rid] or 1 for rid in state.robot_ids]
             state.a_time = [detect_time] * len(state.robot_ids)
             state.last_comm = [detect_time] * max(0, len(state.robot_ids) - 1)
+            if noise is not None:
+                lanes = noise[:, state.robot_ids]
             for rid in dead:
                 out_pos[k:, rid] = old_pos[rid]
                 out_dir[k:, rid] = 0

@@ -137,6 +137,14 @@ class TestRejectedInputs:
         )
         assert rc == 1
 
+    def test_failure_off_the_step_grid(self, tmp_path, uniform_file, capsys):
+        rc = dispatch(
+            ["simulate", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "40",
+             "--fail", "3:20.01:30", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert rc == 1
+        assert "robot 3 must start on a step of dt=0.03125, got 20.01" in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["missing_row", "shuffled_rows", "repeated_step"])
     def test_eval_trace_rows_not_step_major(self, tmp_path, uniform_file, damage):
         trace = tmp_path / "trace.csv"

@@ -4,9 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patrolsim.metrics import (
+    _visit_episodes_sampled,
     communication_instants,
     latency,
     latency_from_phis,
@@ -169,6 +172,63 @@ class TestMaxRevisitGap:
         # no visit in the window
         assert both(self.EPISODES, 21, 30) == (math.inf, math.inf)
         assert both([], 0, 10) == (math.inf, math.inf)
+
+
+class TestSampledRefreshWindow:
+    COORDS = [0.0, 1.0, 1.5, 3.0]
+    # exact hits dwell on a viewpoint, 1.0 + 5e-7 dwells within eta=1e-6,
+    # and successive samples on either side of a viewpoint cross it
+    VALUES = [-0.5, 0.0, 0.4, 1.0, 1.0 + 5e-7, 1.7, 1.5, 2.5, 3.0, 3.2]
+
+    @staticmethod
+    def whole_trace(times, positions, coords, eta, warmup, cap, strict):
+        """Every robot's episodes over all samples, then clipped to the window."""
+        worst = 0.0
+        for v in coords:
+            eps = []
+            for i in range(positions.shape[1]):
+                eps += _visit_episodes_sampled(times, positions[:, i], v, eta)
+            worst = max(worst, max_revisit_gap(eps, warmup, float(times[-1]), cap, strict))
+        return float(worst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_window_equals_whole_trace(self, data):
+        # short traces and few viewpoints, so the gap at the window's start
+        # is often the longest one
+        k = data.draw(st.integers(2, 16))
+        coords = data.draw(st.lists(st.sampled_from(self.COORDS), min_size=1, max_size=2))
+        m = data.draw(st.integers(1, 3))
+        gaps = data.draw(st.lists(st.sampled_from([0.1, 0.25, 0.5]), min_size=k - 1, max_size=k - 1))
+        times = np.cumsum([data.draw(st.sampled_from([0.0, 3.0, 300.0]))] + gaps)
+        rows = st.lists(st.sampled_from(self.VALUES), min_size=k, max_size=k)
+        positions = np.array([data.draw(rows) for _ in range(m)]).T
+        j = data.draw(st.integers(0, k - 2))
+        where = data.draw(st.sampled_from(["first", "sample", "between"]))
+        if where == "first":
+            warmup = float(times[0])
+        elif where == "sample":
+            warmup = float(times[j])
+        else:
+            frac = data.draw(st.floats(0.01, 0.99))
+            warmup = float(times[j] + frac * (times[j + 1] - times[j]))
+        cap, strict = data.draw(
+            st.sampled_from([(None, False), (None, True), (0.3, False), (2.0, False)])
+        )
+        eta = data.draw(st.sampled_from([1e-6, 0.0]))
+        got = refresh_time_from_trace(
+            times, positions, coords, eta=eta, warmup=warmup, cap=cap, strict=strict
+        )
+        assert got == self.whole_trace(times, positions, coords, eta, warmup, cap, strict)
+
+    @pytest.mark.parametrize("warmup", [-5.0, 2.99, 43.0, 100.0, math.nan])
+    def test_warmup_outside_the_trace_rejected(self, warmup):
+        # a 40-unit trace that starts at 3, as a slice of a longer run does
+        times = 3.0 + np.arange(161) * 0.25
+        positions = np.abs(np.sin(times))[:, None]
+        with pytest.raises(ValueError, match="outside the trace"):
+            refresh_time_from_trace(times, positions, [0.0, 1.0], warmup=warmup)
+        assert refresh_time_from_trace(times, positions, [0.0, 1.0], warmup=3.0) >= 0.0
 
 
 class TestCommInstants:

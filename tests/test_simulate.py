@@ -112,6 +112,10 @@ class TestBasics:
             (FailureWindow(-1, 5.0, 10.0), "not one of 0..9"),
             (FailureWindow(3, 10.0, 5.0), "must end after its start"),
             (FailureWindow(3, 5.0, 5.0), "must end after its start"),
+            # off the step grid: the toggle would round to a step whose time
+            # the window test misses, so the robot would not stop (or resume)
+            (FailureWindow(3, 5.01, 10.0), r"robot 3 must start on a step .*got 5\.01"),
+            (FailureWindow(3, 5.0, 10.01), r"robot 3 must end on a step .*got 10\.01"),
         ],
     )
     def test_bad_failure_window_rejected(self, window, match):
@@ -137,6 +141,24 @@ class TestBasics:
             assert len(rising) > 0
             assert len(logged) == len(rising)
             assert logged == [k * cfg.dt for k in rising.tolist()]
+
+
+    def test_short_runs_on_general_chains_do_not_raise(self):
+        # a short run on each of 100 non-dyadic chains (40 viewpoints, gaps
+        # U[0.3, 2], 8 robots), whose waits are not whole numbers of steps
+        for seed in range(100):
+            gaps = np.random.default_rng(seed).uniform(0.3, 2.0, 39)
+            chain = ChainRoadmap([0.0] + np.cumsum(gaps).tolist())
+            part, _ = optimal_partition_bisect(chain, 8, 1e-9)
+            trace = simulate(chain, part, SimConfig(dt=DT, horizon=4.0, seed=0))
+            assert trace.positions.shape == (129, 8)
+
+    @pytest.mark.parametrize("warmup", [80.0, 100.0, -5.0, float("nan")])
+    def test_warmup_outside_the_trace_rejected(self, warmup):
+        chain, part = uniform_case()
+        trace = simulate(chain, part, SimConfig(dt=DT, horizon=80.0, seed=0))
+        with pytest.raises(ValueError, match="outside the trace"):
+            evaluate_trace(trace, warmup=warmup)
 
 
 class TestConvergence:

@@ -3,8 +3,10 @@
 Traces are bit-exact functions of (chain, partition, config), so any change
 to the stepper that alters one IEEE operation, one meeting or one event
 shows up here.  The metrics ``evaluate_trace`` reports from the same traces
-are pinned too, as plain floats compared with ``==``.  The digests were recorded from the numpy-array kernel that
-the list kernel replaced; the event times in them are plain Python floats.
+are pinned too, as plain floats compared with ``==``.  The first nine digests were recorded from the numpy-array kernel that
+the list kernel replaced, and the last three from the list kernel before it
+carried its boundary flags from step to step; the event times in them are
+plain Python floats.
 General chains are left out on purpose: their timer semantics are due to
 change.
 """
@@ -12,6 +14,7 @@ change.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -43,7 +46,20 @@ CONFIGS = {
         dt=DT, horizon=440.0, seed=5, failures=(FailureWindow(6, 300.0),),
         detection_theta=8.0, detection_arm_time=200.0,
     ),
+    # twelve robots on ten clusters: robots 10 and 11 park at the chain end
+    "m12_noisy_0.2": SimConfig(dt=DT, horizon=140.0, seed=21, sigma2=0.2),
+    # twelve robots, robot 6 fails for good; after detection the survivors
+    # repartition and parked robot 10 rejoins the team
+    "m12_detect_rejoin": SimConfig(
+        dt=DT, horizon=300.0, seed=22, failures=(FailureWindow(6, 100.0),),
+        detection_theta=8.0, detection_arm_time=50.0,
+    ),
+    # meetings need exact arrival at the shared viewpoint
+    "eta0": SimConfig(dt=DT, horizon=160.0, seed=4, eta=0.0),
 }
+
+# team size of each config; the others run ten robots
+ROBOTS = {"m12_noisy_0.2": 12, "m12_detect_rejoin": 12}
 
 # (positions.tobytes(), dirs.tobytes(), repr(events))
 DIGESTS = {
@@ -92,6 +108,21 @@ DIGESTS = {
         "c1bfff3f90ecfdf4094529859017210a1dca21db491139ea29984a3d7568707a",
         "c6db34b8eec72744c88e9e343826ea6a89f29b4be8d16ffca009ea4ae016992c",
     ),
+    "m12_noisy_0.2": (
+        "a5da07ff3e2b948dd8c6e0506c3ee246298dead11eff4e0a179e7dea293003db",
+        "b865b2ba0c8787cc54ef5ddf7435dd3b3cc8a3347d1adac2b1e30e9f984921c8",
+        "6af6eb6669a5f0193797d6f2b7d34b40d40950694fa9fa55e0492a01ba7572f0",
+    ),
+    "m12_detect_rejoin": (
+        "0b3043aed14cb65fd391215113932889a6584b73abe1704e544d4e144663caed",
+        "e78c4f15fdf1fd538d159fd66687f3025ef5515798714304350aca2d728def28",
+        "aeac579e1224e44541314c6e9b2aa55b68a93f049ba80a744642a914ddd16355",
+    ),
+    "eta0": (
+        "3df0050ef192c7f74d9a56f4bf113da58d2db5f0c5dca7d4cab40fca3960a37a",
+        "6b5ae39ca4f7251632df812509d9573462a1e8ef2c2e0fc43bcfd02205c06199",
+        "147aec08467a883ed7cbd05d3fbafd5626f97ce4cb7a6b4e933ff740f2c1bed9",
+    ),
 }
 
 
@@ -107,6 +138,10 @@ METRICS = {
     "noisy_0.1": (4.9375, 17.65625, 17.9375, 17.9375, 70.0, False),
     "noisy_0.2": (5.0, 18.09375, 18.21875, 18.21875, 70.0, False),
     "noisy_0.3": (5.5, 18.84375, 18.25, 18.84375, 70.0, False),
+    "m12_noisy_0.2": (5.03125, 18.125, 18.375, 18.375, 70.0, False),
+    # the default relay still runs through dead robot 6: no message completes
+    "m12_detect_rejoin": (4.0, math.inf, math.inf, math.inf, 118.875, True),
+    "eta0": (4.0, 16.0, 16.0, 16.0, 15.96875, True),
 }
 
 
@@ -117,13 +152,13 @@ def _sha(data: bytes) -> str:
 @pytest.fixture(scope="module")
 def case_study():
     chain = case_study_chain(30)
-    part, _ = optimal_partition_bisect(chain, 10, 1e-9)
-    return chain, part
+    parts = {m: optimal_partition_bisect(chain, m, 1e-9)[0] for m in (10, 12)}
+    return lambda name: (chain, parts[ROBOTS.get(name, 10)])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_matches_golden_digest(case_study, name):
-    chain, part = case_study
+    chain, part = case_study(name)
     trace = simulate(chain, part, CONFIGS[name])
     got = (
         _sha(trace.positions.tobytes()),
@@ -135,7 +170,7 @@ def test_trace_matches_golden_digest(case_study, name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_metrics_match_golden_values(case_study, name):
-    chain, part = case_study
+    chain, part = case_study(name)
     tm = evaluate_trace(simulate(chain, part, CONFIGS[name]))
     got = (tm.refresh, tm.latency_up, tm.latency_down, tm.latency, tm.warmup, tm.converged)
     assert got == METRICS[name]
