@@ -425,14 +425,20 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     detect_time: float | None = None
     new_partition: Partition | None = None
 
+    # failure windows as (robot, first step down, first step up again);
+    # _validate put their ends on the step grid
+    downs = [
+        (
+            fw.robot,
+            int(round(fw.start / cfg.dt)),
+            int(round(fw.end / cfg.dt)) if math.isfinite(fw.end) else math.inf,
+        )
+        for fw in cfg.failures
+    ]
     toggles = sorted(
         {steps}
-        | {int(round(fw.start / cfg.dt)) for fw in cfg.failures}
-        | {
-            int(round(fw.end / cfg.dt))
-            for fw in cfg.failures
-            if math.isfinite(fw.end) and fw.end <= cfg.horizon
-        }
+        | {k_down for _, k_down, _ in downs}
+        | {k_up for _, _, k_up in downs if k_up <= steps}
     )
 
     theta = cfg.detection_theta if cfg.detection_theta is not None else -1.0
@@ -468,17 +474,15 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
                 break
         t_now = k * cfg.dt
         failed = [False] * len(state.robot_ids)
-        for fw in cfg.failures:
-            if int(round(fw.start / cfg.dt)) == k and fw.robot in state.robot_ids:
-                events.append((t_now, "fail", fw.robot, -1))
-            if (
-                math.isfinite(fw.end)
-                and int(round(fw.end / cfg.dt)) == k
-                and fw.robot in state.robot_ids
-            ):
-                events.append((t_now, "resume", fw.robot, -1))
-            if fw.start <= t_now < fw.end and fw.robot in state.robot_ids:
-                failed[state.robot_ids.index(fw.robot)] = True
+        for rid, k_down, k_up in downs:
+            if rid not in state.robot_ids:
+                continue
+            if k_down == k:
+                events.append((t_now, "fail", rid, -1))
+            if k_up == k:
+                events.append((t_now, "resume", rid, -1))
+            if k_down <= k < k_up:
+                failed[state.robot_ids.index(rid)] = True
         state.failed = failed
         done, pair = run_segment(state, k, k_next)
         k += done
@@ -490,8 +494,7 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
             cols = state.robot_ids
             events.append((detect_time, "detect", cols[pair], cols[pair + 1]))
             alive = lambda rid: not any(
-                fw.robot == rid and fw.start <= detect_time < fw.end
-                for fw in cfg.failures
+                down == rid and k_down <= k < k_up for down, k_down, k_up in downs
             )
             survivors = [rid for rid in cols if alive(rid)]
             survivors += [rid for rid in state.parked_ids if alive(rid)]

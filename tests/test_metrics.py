@@ -199,7 +199,9 @@ class TestSampledRefreshWindow:
         k = data.draw(st.integers(2, 16))
         coords = data.draw(st.lists(st.sampled_from(self.COORDS), min_size=1, max_size=2))
         m = data.draw(st.integers(1, 3))
-        gaps = data.draw(st.lists(st.sampled_from([0.1, 0.25, 0.5]), min_size=k - 1, max_size=k - 1))
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.1, 0.25, 0.5]), min_size=k - 1, max_size=k - 1)
+        )
         times = np.cumsum([data.draw(st.sampled_from([0.0, 3.0, 300.0]))] + gaps)
         rows = st.lists(st.sampled_from(self.VALUES), min_size=k, max_size=k)
         positions = np.array([data.draw(rows) for _ in range(m)]).T

@@ -142,6 +142,12 @@ class TestBasics:
             assert len(logged) == len(rising)
             assert logged == [k * cfg.dt for k in rising.tolist()]
 
+    def test_window_within_the_grid_tolerance_stops_the_robot(self):
+        chain, part = uniform_case()
+        window = FailureWindow(3, 20.0 + 1e-12, 30.0)
+        cfg = SimConfig(dt=DT, horizon=40.0, seed=0, failures=(window,))
+        frozen = simulate(chain, part, cfg).positions[640:961, 3]  # t = 20 .. 30
+        assert (frozen == frozen[0]).all()
 
     def test_short_runs_on_general_chains_do_not_raise(self):
         # a short run on each of 100 non-dyadic chains (40 viewpoints, gaps
