@@ -47,7 +47,11 @@ from .trajectories import aggregate_clusters, write_trace_rows
 
 @dataclass(frozen=True)
 class FailureWindow:
-    """Robot ``robot`` stops during [start, end); end=inf is permanent."""
+    """Robot ``robot`` stops during [start, end); end=inf is permanent.
+
+    ``simulate`` rejects a start, or a finite end, that is not a whole
+    number of steps of its ``dt``.
+    """
 
     robot: int
     start: float
