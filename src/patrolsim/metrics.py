@@ -9,17 +9,19 @@ or two steps.
 
 Refresh time is the longest interval during which some viewpoint goes
 unvisited.  Every refresh-time evaluator of chain trajectories, exact or
-sampled, gathers one viewpoint's unmerged visit episodes (exact: each
-holder's ``PiecewisePath._occupancy``) and hands them to
-``max_revisit_gap``: the one interval merge (``_merge_intervals``) of that
-viewpoint's visits and one rule for the gaps at the window's ends, in
-whichever arithmetic the episodes use.  Latency merges each robot's
-episodes at a viewpoint once (``PiecewisePath.occupancy``), because the
-pairwise intersections need sorted, disjoint lists, and merges a pair's
-joint dwells once more.  Tree tours and path-cover sweeps are rides on
-closed walks; their steady refresh time is the largest circular gap
-between a vertex's positions on the walk
-(``tree.TourTeamTrajectory.refresh_time``).
+sampled, can hand one viewpoint's unmerged visit episodes to
+``max_revisit_gap``: the one interval merge (``_merge_intervals``) of
+that viewpoint's visits and one rule for the gaps at the window's ends,
+in whichever arithmetic the episodes use.  The exact evaluators find the
+episodes with one walk over each robot's prefix and one over its cycle
+(``PiecewisePath._visits``), for every viewpoint at once, and unroll a
+cycle's episodes over a window only where they need it
+(``PiecewisePath._unrolled``).  Latency merges each robot's episodes at
+a viewpoint once, because the pairwise intersections need sorted,
+disjoint lists, and merges a pair's joint dwells once more.  Tree tours
+and path-cover sweeps are rides on closed walks; their steady refresh
+time is the largest circular gap between a vertex's positions on the
+walk (``tree.TourTeamTrajectory.refresh_time``).
 Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,
@@ -36,23 +38,48 @@ only paths loaded from float breakpoints have, stays an exact ``Fraction``
 between the ints.
 
 Exact evaluation also folds periods, so its cost does not grow with the
-horizon.  Cyclic paths repeat together after their latest anchor A with
-the least common period P (``_common_cycle``).  Refresh time: when every
-path ranging over a viewpoint is cyclic and one cycle reaches it, the
-viewpoint is visited in every period after S = max(warmup, A), so every
-gap after S has a copy in [S, S + 2P] and the tail gap moves by whole
-periods; the window end moves back by whole periods into [S + 2P,
-S + 3P).  Latency: when every relay pair meets in (A, A + P], each hop
-waits less than P, so every relay from a source up to A + P completes
-before A + (m - 1) P; later sources repeat one of them or are cut short
-by the horizon, and the instants are only gathered up to that time.
-Viewpoints and relays that fail a condition use the whole horizon.
+horizon: it does one period of work per viewpoint and per relay pair.
+Cyclic paths repeat together after their latest anchor A with the least
+common period P (``_common_cycle``), so after A the visits V of a
+viewpoint and the meetings of a relay pair are P-periodic.
+
+Refresh time.  When every robot ranging over viewpoint c is cyclic, some
+cycle reaches c (so V has a visit in every period), the warmup t0 is at
+least A and the window [t0, T] spans at least 2P, the result is the
+largest gap G of V on the circle of length P, taken from one period's
+visits (``_circular_gap``), whatever ``cap`` and ``strict`` are.  Proof:
+the window lies after A, where V is periodic, so a gap between two
+consecutive visits inside the window is a copy of a gap on the circle and
+is at most G.  The head gap (t0 to the first visit) and the tail gap (the
+last visit to T) each lie inside such a gap, so neither exceeds G,
+capped or not.  And a copy of the largest gap starts in [t0, t0 + P)
+and ends at most G <= P later, so before t0 + 2P <= T: it is a gap
+inside the window, and ``max_revisit_gap`` returns G.  Where t0 < A but
+the other conditions hold, every gap after S = max(t0, A) has a copy in
+[S, S + 2P] and the tail gap moves by whole periods, so the window end
+moves back by whole periods into [S + 2P, S + 3P) and ``max_revisit_gap``
+runs on the shorter window.  Viewpoints with an acyclic robot, or that
+no cycle reaches, use the whole horizon.
+
+Latency.  After A every relay pair q meets at its instants in (A, A + P]
+shifted by whole periods, so its instants are gathered over [0, A + P]
+only, and a hop past A + P finds its next instant by shifting t back
+into (A, A + P] by whole periods, or is cut off by the horizon.  A relay
+from a source later than A + P repeats one from a source a whole number
+of periods earlier, or is cut short by the horizon, so only sources up
+to A + P are relayed.  A joint dwell that runs across A + P keeps its one
+start: a start is where a merged interval begins, and the shifted copies
+of a start in (A, A + P] are the starts of the later copies of its
+interval.  A pair that never leaves its joint dwell after A has no start
+in (A, A + P].  When some pair has no instant in (A, A + P], or the paths
+are not all cyclic, or the horizon ends by A + P, the instants are
+gathered over the whole horizon.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +89,7 @@ from .partition import Partition
 from .roadmap import ChainRoadmap
 from .trajectories import (
     TeamTrajectory,
+    _circular_gap,
     _merge_intervals,
     aggregate_clusters,
     from_grid,
@@ -137,31 +165,59 @@ def refresh_time(
         if t1 - t0 < 2 * cap:
             raise ValueError("evaluation window shorter than two team periods")
     D, robots, (t0, t1, cap, *coords) = to_grid(traj.robots, (t0, t1, cap), chain)
-    ranges = [p.value_range() for p in robots]
-    swept = [
-        (min(x for _, x in p.cycle), max(x for _, x in p.cycle)) if p.cycle else None
-        for p in robots
-    ]
+    visits = [p._visits(coords) for p in robots]
+    holders_at: dict = {}  # viewpoint -> the robots that reach it
+    for i, (pre, cyc) in enumerate(visits):
+        for c in pre.keys() | cyc.keys():
+            holders_at.setdefault(c, []).append(i)
+    cycled = set().union(*(cyc.keys() for _, cyc in visits))  # reached by some cycle
+    commons: dict = {}
     worst = 0
     for c in coords:
-        holders = [i for i, (lo, hi) in enumerate(ranges) if lo <= c <= hi]
+        holders = holders_at.get(c, [])
+        key = tuple(holders)
+        if key not in commons:
+            commons[key] = _common_cycle([robots[i] for i in holders])
+        common = commons[key]
         end = t1
-        common = _common_cycle([robots[i] for i in holders])
-        if common is not None and any(
-            swept[i][0] <= c <= swept[i][1] for i in holders
-        ):
+        if common is not None and c in cycled:
+            anchor, period = common
+            if t0 >= anchor and t1 - t0 >= 2 * period:
+                # every gap in the window is a copy of one on the circle
+                eps = _one_period(robots, visits, holders, c, common)
+                worst = max(worst, _circular_gap(eps, period))
+                continue
             # a cycle visits c every period, so every later gap has a copy
             # in [start, start + 2P] and the tail moves by whole periods
-            anchor, period = common
             start = max(t0, anchor)
             end = t1 - max(0, (t1 - start - 2 * period) // period) * period
-        eps: list[Interval] = []
+        eps = []
         for i in holders:
-            eps.extend(robots[i]._occupancy(c, end))
+            pre, cyc = visits[i]
+            eps += robots[i]._unrolled(pre.get(c, ()), cyc.get(c, ()), end)
         worst = max(worst, max_revisit_gap(eps, t0, end, cap, strict))
         if worst == math.inf:
             break
     return from_grid(worst, D)
+
+
+def _one_period(robots, visits, holders, c, common) -> list[Interval]:
+    """The cycle episodes of the ``holders`` at c over one common period
+    [A, A + P), as episodes on [0, P): each holder's cycle, shifted to its
+    anchor's phase, is repeated P / p times, and a start past P wraps."""
+    anchor, period = common
+    eps: list[Interval] = []
+    for i in holders:
+        path = robots[i]
+        base = visits[i][1].get(c, ())
+        p = path._period
+        for off in range((path._anchor - anchor) % p, period, p):
+            for s, e in base:
+                s, e = s + off, e + off
+                if s >= period:
+                    s, e = s - period, e - period
+                eps.append((s, e))
+    return eps
 
 
 def _intersections(ea: list[Interval], eb: list[Interval]) -> list[Interval]:
@@ -180,25 +236,35 @@ def _intersections(ea: list[Interval], eb: list[Interval]) -> list[Interval]:
     return out
 
 
-def _meeting_instants(robots, relay, coords, t_end) -> list[list]:
+def _meeting_instants(robots, relay, coords, t_end, visits) -> list[list]:
     """Sorted meeting instants in [0, t_end] of each adjacent relay pair,
-    for paths and viewpoints on one integer grid."""
-    ranges = [robots[i].value_range() for i in relay]
+    for paths and viewpoints on one integer grid, from each relay robot's
+    ``PiecewisePath._visits`` of ``coords`` in ``visits``; each robot's
+    episodes at a viewpoint are merged once."""
+    reached = {i: pre.keys() | cyc.keys() for i, (pre, cyc) in visits.items()}
+    merged: dict = {}
+
+    def occupancy(i, c):
+        if (i, c) not in merged:
+            pre, cyc = visits[i]
+            merged[i, c] = _merge_intervals(
+                robots[i]._unrolled(pre.get(c, ()), cyc.get(c, ()), t_end)
+            )
+        return merged[i, c]
+
+    index = {c: k for k, c in enumerate(coords)}
     phis = []
     for q in range(len(relay) - 1):
-        a, b = robots[relay[q]], robots[relay[q + 1]]
-        (alo, ahi), (blo, bhi) = ranges[q], ranges[q + 1]
+        a, b = relay[q], relay[q + 1]
         joint: list[Interval] = []
-        for k in range(len(coords) - 1):
-            u, v = coords[k], coords[k + 1]
-            for pa, pb in ((u, v), (v, u)):
-                if not (alo <= pa <= ahi and blo <= pb <= bhi):
-                    continue
-                ea = a.occupancy(pa, t_end)
-                if ea:
-                    joint += _intersections(ea, b.occupancy(pb, t_end))
-        merged = _merge_intervals(joint)
-        phis.append(sorted({0} | {s for s, _ in merged}))
+        for pa in reached[a]:
+            k = index[pa]
+            for pb in coords[k - 1 : k] + coords[k + 1 : k + 2]:  # chain neighbors
+                if pb in reached[b]:
+                    ea = occupancy(a, pa)
+                    if ea:
+                        joint += _intersections(ea, occupancy(b, pb))
+        phis.append(sorted({0} | {s for s, _ in _merge_intervals(joint)}))
     return phis
 
 
@@ -218,10 +284,34 @@ def communication_instants(
     if not 0 <= end <= traj.horizon:
         raise ValueError(f"t_end {float(end)} outside [0, {float(traj.horizon)}]")
     D, robots, (end, *coords) = to_grid(traj.robots, (end,), chain)
+    visits = {i: robots[i]._visits(coords) for i in traj.relay}
     return tuple(
         tuple(Fraction(t, D) for t in phi)
-        for phi in _meeting_instants(robots, traj.relay, coords, end)
+        for phi in _meeting_instants(robots, traj.relay, coords, end, visits)
     )
+
+
+def _first_at_or_after(hop, t):
+    """The first instant of the sorted list ``hop`` at or after t, or None."""
+    i = bisect_left(hop, t)
+    return hop[i] if i < len(hop) else None
+
+
+def _worst_relay(sources, hops, horizon, first=_first_at_or_after):
+    """Longest time from an instant of ``sources`` until a message relayed
+    through ``hops`` in order arrives; ``first(hop, t)`` is the hop's first
+    instant at or after t, and the horizon stands in when there is none."""
+    worst = horizon - horizon
+    for t_src in sources:
+        t = t_src
+        for hop in hops:
+            t = first(hop, t)
+            if t is None:
+                t = horizon
+                break
+        if t - t_src > worst:
+            worst = t - t_src
+    return worst
 
 
 def propagate_latency(phis, horizon) -> tuple:
@@ -230,25 +320,8 @@ def propagate_latency(phis, horizon) -> tuple:
     Works on any sorted numeric sequences (exact or float).  Returns
     (up, down) in the input arithmetic.
     """
-    zero = horizon - horizon
-
-    def chain_time(sources, hops):
-        worst = zero
-        for t_src in sources:
-            t = t_src
-            for hop in hops:
-                i = bisect_left(hop, t)
-                if i < len(hop):
-                    t = hop[i]
-                else:
-                    t = horizon
-                    break
-            if t - t_src > worst:
-                worst = t - t_src
-        return worst
-
-    up = chain_time(phis[0], phis[1:])
-    down = chain_time(phis[-1], list(reversed(phis[:-1])))
+    up = _worst_relay(phis[0], phis[1:], horizon)
+    down = _worst_relay(phis[-1], phis[-2::-1], horizon)
     return up, down
 
 
@@ -264,19 +337,35 @@ def latency(traj: TeamTrajectory, chain: ChainRoadmap | None = None) -> LatencyR
     if chain is None:
         raise ValueError("a chain roadmap is required to locate viewpoints")
     D, robots, (horizon, *coords) = to_grid(traj.robots, (traj.horizon,), chain)
-    end = horizon
+    visits = {i: robots[i]._visits(coords) for i in traj.relay}
     common = _common_cycle([robots[i] for i in traj.relay])
-    if common is not None:
+    up = None
+    if common is not None and common[0] + common[1] < horizon:
         anchor, period = common
-        end = min(end, anchor + (m - 1) * period)
-    phis = _meeting_instants(robots, traj.relay, coords, end)
-    if end < horizon and not all(
-        any(anchor < t <= anchor + period for t in phi) for phi in phis
-    ):
-        # some pair skips a period: relays are not bounded by m - 1 periods
-        end = horizon
-        phis = _meeting_instants(robots, traj.relay, coords, end)
-    up, down = (from_grid(t, D) for t in propagate_latency(phis, end))
+        end = anchor + period
+        phis = _meeting_instants(robots, traj.relay, coords, end, visits)
+        if all(phi[-1] > anchor for phi in phis):
+            # after A every pair meets at its instants in (A, A + P] shifted
+            # by whole periods, and a relay from a later source repeats one
+            # from a source a whole number of periods earlier, or is cut
+            # short by the horizon
+            def first(hop, t):
+                phi, wrap = hop
+                if t <= phi[-1]:
+                    return phi[bisect_left(phi, t)]
+                k = -((end - t) // period)  # periods that take t into (A, A + P]
+                i = bisect_left(phi, t - k * period)
+                s = (phi[i] if i < len(phi) else wrap) + k * period
+                return s if s <= horizon else None
+
+            # each hop with its first instant after the gathered ones
+            hops = [(phi, phi[bisect_right(phi, anchor)] + period) for phi in phis]
+            up = _worst_relay(phis[0], hops[1:], horizon, first)
+            down = _worst_relay(phis[-1], hops[-2::-1], horizon, first)
+    if up is None:
+        phis = _meeting_instants(robots, traj.relay, coords, horizon, visits)
+        up, down = propagate_latency(phis, horizon)
+    up, down = from_grid(up, D), from_grid(down, D)
     return LatencyResult(up=up, down=down, overall=max(up, down))
 
 

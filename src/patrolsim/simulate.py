@@ -83,6 +83,14 @@ class SimConfig:
             )
         if math.isnan(self.eta) or self.eta < 0:
             raise ValueError(f"meeting tolerance eta must be nonnegative, got {self.eta!r}")
+        theta = self.detection_theta
+        if theta is not None and not (math.isfinite(theta) and theta > 0):
+            raise ValueError(
+                f"detection_theta must be None or finite and positive, got {theta!r}"
+            )
+        arm = self.detection_arm_time
+        if not (math.isfinite(arm) and arm >= 0):
+            raise ValueError(f"detection_arm_time must be finite and nonnegative, got {arm!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer number of steps")

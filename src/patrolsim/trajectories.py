@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +67,46 @@ def _merge_intervals(items: list[Interval]) -> list[Interval]:
         else:
             out.append((s, e))
     return out
+
+
+def _circular_gap(eps: list[Interval], period):
+    """Largest gap between the episodes ``eps`` on a circle of length
+    ``period``.  Each episode starts in [0, period) and lasts at most a
+    period; one that runs past the period also covers the circle's start.
+    The episodes are merged once, and the gap across the seam runs from
+    the last one's end to the first one's start a period later."""
+    eps += [(0, e - period) for s, e in eps if e > period]
+    merged = _merge_intervals(eps)
+    gaps = [b[0] - a[1] for a, b in zip(merged, merged[1:])]
+    gaps.append(merged[0][0] + period - min(merged[-1][1], period))
+    return max(gaps)
+
+
+def _walk(pts, coords) -> dict:
+    """Unmerged episodes at each of the sorted ``coords`` along breakpoints
+    ``pts``, in time order: one per dwell at a coordinate and one instant
+    per crossing of it.  Each segment bisects ``coords`` for the ones in
+    its range.  A segment that leaves a coordinate, other than the first,
+    reports nothing there: the segment before it ends there and has
+    reported it."""
+    eps: dict = {}
+    for k, ((t0, x0), (t1, x1)) in enumerate(zip(pts, pts[1:])):
+        if x0 == x1:
+            i = bisect_left(coords, x0)
+            if i < len(coords) and coords[i] == x0:
+                eps.setdefault(x0, []).append((t0, t1))
+            continue
+        lo, hi = (x0, x1) if x0 < x1 else (x1, x0)
+        unit_speed = hi - lo == t1 - t0  # no division
+        for c in coords[bisect_left(coords, lo) : bisect_right(coords, hi)]:
+            if c == x0 and k:
+                continue
+            if unit_speed:
+                tc = t0 + abs(c - x0)
+            else:
+                tc = t0 + Fraction(c - x0) * (t1 - t0) / (x1 - x0)
+            eps.setdefault(c, []).append((tc, tc))
+    return eps
 
 
 class PiecewisePath:
@@ -241,26 +282,28 @@ class PiecewisePath:
             xs += [x for _, x in self._cycle]
         return self._value(min(xs)), self._value(max(xs))
 
-    @staticmethod
-    def _episodes_in(pts, value) -> list[Interval]:
-        """Unmerged episodes at ``value`` along breakpoints ``pts``, in time
-        order: one per dwell at it and one instant per crossing of it.  A
-        segment that leaves ``value``, other than the first, reports
-        nothing: the segment before it ends there and has reported it."""
-        eps: list[Interval] = []
-        for k, ((t0, x0), (t1, x1)) in enumerate(zip(pts, pts[1:])):
-            if x0 == x1:
-                if x0 == value:
-                    eps.append((t0, t1))
-            else:
-                lo, hi = (x0, x1) if x0 < x1 else (x1, x0)
-                if lo <= value <= hi and (value != x0 or k == 0):
-                    if hi - lo == t1 - t0:  # unit speed: no division
-                        tc = t0 + abs(value - x0)
-                    else:
-                        tc = t0 + Fraction(value - x0) * (t1 - t0) / (x1 - x0)
-                    eps.append((tc, tc))
-        return eps
+    def _visits(self, coords) -> tuple[dict, dict]:
+        """Unmerged visit episodes at the sorted grid ``coords``: one walk
+        over the prefix's breakpoints and one over a single cycle's (phases
+        from 0), each a dict from a coordinate the walk reaches to its
+        episodes in time order.  An acyclic path's cycle dict is empty."""
+        return _walk(self._prefix, coords), _walk(self._cycle or (), coords)
+
+    def _unrolled(self, pre, cyc, t_end) -> list[Interval]:
+        """The prefix episodes ``pre`` and the cycle episodes ``cyc`` of one
+        coordinate over [0, t_end], clipped to t_end: the prefix's, then
+        the cycle's unrolled copy by copy.  Episodes of neighboring copies
+        may touch at the seam; the caller's merge joins them."""
+        out = [(s, min(e, t_end)) for s, e in pre if s <= t_end]
+        if cyc and t_end >= self._anchor:
+            anchor, period = self._anchor, self._period
+            last = (t_end - anchor) // period  # the copy that t_end cuts
+            for k in range(last):
+                off = anchor + k * period
+                out += [(off + s, off + e) for s, e in cyc]
+            off = anchor + last * period
+            out += [(off + s, min(off + e, t_end)) for s, e in cyc if off + s <= t_end]
+        return out
 
     def occupancy(self, value, t_end=None) -> list[Interval]:
         """Merged closed time intervals (possibly instants) where the path
@@ -269,31 +312,10 @@ class PiecewisePath:
         end = self._horizon if t_end is None else _exact(t_end) * u
         if not 0 <= end <= self._horizon:
             raise ValueError(f"t_end {float(t_end)} outside [0, {float(self.horizon)}]")
-        eps = _merge_intervals(self._occupancy(_exact(value) * u, end))
+        v = _exact(value) * u
+        pre, cyc = self._visits([v])
+        eps = _merge_intervals(self._unrolled(pre.get(v, ()), cyc.get(v, ()), end))
         return eps if u == 1 else [(Fraction(s, u), Fraction(e, u)) for s, e in eps]
-
-    def _occupancy(self, value, t_end) -> list[Interval]:
-        """Unmerged episodes at grid ``value`` over [0, t_end], clipped to
-        t_end, in time order: the prefix's, then the cycle's unrolled copy
-        by copy.  Episodes of neighboring copies may touch at the seam;
-        the caller's merge joins them."""
-        out: list[Interval] = []
-        if self._prefix:
-            out += [
-                (s, min(e, t_end))
-                for s, e in self._episodes_in(self._prefix, value)
-                if s <= t_end
-            ]
-        if self._cycle is not None and t_end >= self._anchor:
-            anchor, period = self._anchor, self._period
-            base = self._episodes_in(self._cycle, value)
-            last = (t_end - anchor) // period  # the copy that t_end cuts
-            for k in range(last):
-                off = anchor + k * period
-                out += [(off + s, off + e) for s, e in base]
-            off = anchor + last * period
-            out += [(off + s, min(off + e, t_end)) for s, e in base if off + s <= t_end]
-        return out
 
     def flatten(self) -> list[tuple[float, float]]:
         """Explicit float breakpoints covering [0, horizon] (for export)."""

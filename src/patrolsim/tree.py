@@ -403,43 +403,6 @@ class TourTeamTrajectory:
                 pos[:, i] = (float(off) + times) % L
         return times, pos
 
-    def sampled_visit_times(self, dt: float) -> dict[str, list[float]]:
-        """Vertex visit times recovered from the sampled trace.
-
-        Arc positions are unwrapped (motion is uniformly forward), then
-        visit times come from linear interpolation of the occurrence
-        positions between samples.
-        """
-        times, pos = self.sample(dt)
-        visits: dict[str, list[float]] = {}
-        for j, stat in enumerate(self.stationary):
-            if stat is not None:
-                visits.setdefault(stat, []).extend(times.tolist())
-        for i, (j, off) in enumerate(self.robots):
-            if self.stationary[j] is not None:
-                continue
-            tour = self.tours[j]
-            L = float(tour.length)
-            wrapped = pos[:, i]
-            # forward motion only, so unwrap by accumulating modular steps
-            steps = np.mod(np.diff(wrapped), L)
-            unwrapped = wrapped[0] + np.concatenate(([0.0], np.cumsum(steps)))
-            for vid, occs in tour.vertex_positions().items():
-                for p in occs:
-                    pf = float(p)
-                    target = pf + math.ceil((unwrapped[0] - pf) / L) * L
-                    while target <= unwrapped[-1]:
-                        idx = int(np.searchsorted(unwrapped, target))
-                        if idx == 0:
-                            t = times[0]
-                        else:
-                            t0, t1 = times[idx - 1], times[idx]
-                            x0, x1 = unwrapped[idx - 1], unwrapped[idx]
-                            t = t0 if x1 == x0 else t0 + (target - x0) / (x1 - x0) * (t1 - t0)
-                        visits.setdefault(vid, []).append(float(t))
-                        target += L
-        return {vid: sorted(ts) for vid, ts in visits.items()}
-
 
 def efficient_trajectory(coll: SubtreeCollection, horizon) -> TourTeamTrajectory:
     """Equally space each subtree's robots along its depth-first tour.

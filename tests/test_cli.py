@@ -137,6 +137,16 @@ class TestRejectedInputs:
         )
         assert rc == 1
 
+    def test_detection_timeout_of_zero(self, tmp_path, uniform_file, capsys):
+        rc = dispatch(
+            ["simulate", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "20",
+             "--fail", "3:5:inf", "--theta", "0", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert rc == 1
+        assert "detection_theta must be None or finite and positive, got 0.0" in (
+            capsys.readouterr().err
+        )
+
     def test_failure_off_the_step_grid(self, tmp_path, uniform_file, capsys):
         rc = dispatch(
             ["simulate", "--roadmap", str(uniform_file), "-m", "4", "--horizon", "40",

@@ -509,26 +509,182 @@ class TestPeriodFolding:
         # viewpoint 0 is left at 1 and reached again at 5
         assert refresh_time(no_prefix, warmup=0, strict=True) == 4.0
 
+    @staticmethod
+    def outcome(evaluate, *args, **kwargs):
+        """The value of an evaluation, or the message it was rejected with."""
+        try:
+            return evaluate(*args, **kwargs)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_random_teams_equal_unrolled(self, data):
+        # small chains and short moves, so robots visit the viewpoints often,
+        # pairs meet, and common periods stay short enough to fold
+        coords = [0] + sorted(data.draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
+        chain = ChainRoadmap(coords)
+        speeds = [0, 1, Fraction(1, 2), Fraction(1, 3)]
+
+        def walk(x, t, moves):
+            pts = [(t, x)]
+            for _ in range(moves):
+                dur = Fraction(data.draw(st.integers(1, 2)))
+                x += data.draw(st.sampled_from([-1, 1])) * data.draw(st.sampled_from(speeds)) * dur
+                t += dur
+                pts.append((t, x))
+            return pts
+
+        def periodic(prefix, cyc):
+            # a dwell at the cycle's start, before or after its moves, pads
+            # it to a period dividing 24, so common periods stay short
+            # enough to fold; episodes then touch both ends of the cycle
+            xa = cyc[0][1]
+            period = min(p for p in (2, 3, 4, 6, 8, 12, 24) if p >= cyc[-1][0])
+            if period > cyc[-1][0]:
+                if data.draw(st.booleans()):
+                    cyc.append((Fraction(period), xa))
+                else:
+                    pad = period - cyc[-1][0]
+                    cyc = [(Fraction(0), xa)] + [(t + pad, x) for t, x in cyc]
+            anchor = prefix[-1][0]
+            return PiecewisePath(h, prefix=prefix if anchor else [], cycle=cyc, anchor=anchor)
+
+        h = Fraction(data.draw(st.integers(8, 240)), 4)
+        # teams of sweeps alone are the ones whose relays fold
+        kinds = data.draw(st.sampled_from([["parked", "acyclic", "cyclic", "sweep"], ["sweep"]]))
+        robots = []
+        for i in range(data.draw(st.sampled_from([1, 2, 3, 3, 4, 4]))):
+            x0 = Fraction(data.draw(st.sampled_from(coords)))
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "parked":
+                robots.append(PiecewisePath.constant(x0, h))
+            elif kind == "acyclic":
+                pts = walk(x0, Fraction(0), 1)
+                while pts[-1][0] < h:
+                    pts += walk(pts[-1][1], pts[-1][0], 1)[1:]
+                robots.append(PiecewisePath.from_breakpoints(pts, h))
+            elif kind == "cyclic":
+                # a random walk that returns at unit, half or third speed
+                prefix = walk(x0, Fraction(0), data.draw(st.integers(0, 2)))
+                xa = prefix[-1][1]
+                cyc = walk(xa, Fraction(0), data.draw(st.integers(0, 3)))
+                if cyc[-1][1] != xa:
+                    slow = data.draw(st.integers(1, 3))
+                    cyc.append((cyc[-1][0] + abs(xa - cyc[-1][1]) * slow, xa))
+                robots.append(periodic(prefix, cyc))
+            else:
+                # robot i sweeps between viewpoints i and i + 1 with dwells
+                # at both ends, so neighbors in the relay meet
+                k = min(i, len(coords) - 2)
+                lo, hi = Fraction(coords[k]), Fraction(coords[k + 1])
+                slow = data.draw(st.sampled_from([1, 1, 2, 3]))
+                move = (hi - lo) * (slow if (hi - lo) * slow <= 10 else 1)
+                t = [Fraction(data.draw(st.integers(0, 2))) for _ in range(2)]
+                cyc = [(Fraction(0), lo), (t[0], lo), (t[0] + move, hi),
+                       (t[0] + t[1] + move, hi), (t[0] + t[1] + 2 * move, lo)]
+                cyc = [p for p, q in zip(cyc, [(None, None)] + cyc) if p[0] != q[0]]
+                delay = Fraction(data.draw(st.integers(0, 3)))
+                robots.append(periodic([(Fraction(0), lo), (delay, lo)], cyc))
+        traj = TeamTrajectory(robots=tuple(robots), horizon=h, chain=chain)
+        flat = unrolled(traj)
+        for path, flat_path in zip(traj.robots, flat.robots):
+            for value in coords:
+                assert path.occupancy(value) == flat_path.occupancy(value)
+        for _ in range(3):
+            warmup = Fraction(data.draw(st.integers(0, int(4 * h) - 1)), 4)
+            strict = data.draw(st.booleans())
+            assert self.outcome(refresh_time, traj, warmup=warmup, strict=strict) == self.outcome(
+                refresh_time, flat, warmup=warmup, strict=strict
+            )
+        if traj.m >= 2:
+            assert communication_instants(traj) == communication_instants(flat)
+            assert latency(traj) == latency(flat)
+
+    def test_dwell_across_the_common_period_start(self):
+        # on viewpoint 0 robot 0 dwells over [3, 7] of every 10 and robot 1,
+        # anchored at 5, passes at 5, 15, ...: one period after A = 5 holds
+        # robot 0's dwell as [8, 12], which wraps onto [0, 2], so the gap
+        # there is 6 (17 to 23), not 8
+        h = Fraction(40)
+        pts = ((0, 2), (1, 2), (3, 0), (7, 0), (9, 2), (10, 2))
+        dwell = PiecewisePath(h, cycle=[(Fraction(t), Fraction(x)) for t, x in pts])
+        late = PiecewisePath(
+            h,
+            prefix=[(Fraction(t), Fraction(x)) for t, x in ((0, 2), (3, 2), (5, 0))],
+            cycle=[(Fraction(t), Fraction(x)) for t, x in ((0, 0), (2, 2), (8, 2), (10, 0))],
+            anchor=Fraction(5),
+        )
+        traj = TeamTrajectory(robots=(dwell, late), horizon=h, chain=ChainRoadmap([0, 2]))
+        flat = unrolled(traj)
+        for warmup in (5, 6, 12, 20):
+            for strict in (False, True):
+                got = refresh_time(traj, warmup=warmup, strict=strict)
+                assert got == refresh_time(flat, warmup=warmup, strict=strict) == 6.0
+
+    def test_joint_dwell_through_the_seam(self):
+        # robot 1 dwells on viewpoint 1 at the end of its cycle and on into
+        # the next one, next to robot 0 parked on viewpoint 0: each joint
+        # dwell runs across a cycle boundary and has one start
+        h = Fraction(60)
+        chain = ChainRoadmap([0, 1, 2, 3])
+        pts = ((0, 1), (1, 1), (2, 2), (3, 2), (4, 1), (5, 1))
+        cycle = [(Fraction(t), Fraction(x)) for t, x in pts]
+        seam = PiecewisePath(
+            h, prefix=[(Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))],
+            cycle=cycle, anchor=Fraction(2),
+        )
+        beacon = PiecewisePath(h, cycle=[(Fraction(0), Fraction(3)), (Fraction(1), Fraction(3))])
+        for parked in (
+            PiecewisePath.constant(0, h),
+            PiecewisePath(h, cycle=[(Fraction(0), Fraction(0)), (Fraction(5), Fraction(0))]),
+        ):
+            traj = TeamTrajectory(robots=(parked, seam, beacon), horizon=h, chain=chain)
+            phis = communication_instants(traj)
+            assert phis[0][:4] == (0, 6, 11, 16)
+            assert latency(traj) == latency(unrolled(traj))
+        # two robots parked next to each other on constant cycles: their joint
+        # dwell never ends, so it starts only at 0 and the relay falls back
+        # to the whole horizon
+        still = TeamTrajectory(
+            robots=(
+                PiecewisePath(h, cycle=[(Fraction(0), Fraction(1)), (Fraction(3), Fraction(1))]),
+                PiecewisePath(h, cycle=[(Fraction(0), Fraction(2)), (Fraction(2), Fraction(2))]),
+                seam,
+            ),
+            horizon=h, chain=chain,
+        )
+        assert communication_instants(still)[0] == (0,)
+        assert latency(still) == latency(unrolled(still))
+
     def test_work_does_not_grow_with_horizon(self, monkeypatch):
+        # the episodes the finder reports and those unrolled from them
         chain, part = singleton_group_instance(random.Random(3), m=5)
-        occupancy = PiecewisePath._occupancy
+        visits, unrolled_eps = PiecewisePath._visits, PiecewisePath._unrolled
         total = [0]
 
-        def counted(self, value, t_end):
-            out = occupancy(self, value, t_end)
+        def counted_visits(self, coords):
+            out = visits(self, coords)
+            total[0] += sum(len(eps) for found in out for eps in found.values())
+            return out
+
+        def counted_unrolled(self, pre, cyc, t_end):
+            out = unrolled_eps(self, pre, cyc, t_end)
             total[0] += len(out)
             return out
 
-        monkeypatch.setattr(PiecewisePath, "_occupancy", counted)
+        monkeypatch.setattr(PiecewisePath, "_visits", counted_visits)
+        monkeypatch.setattr(PiecewisePath, "_unrolled", counted_unrolled)
         counts = {}
-        for periods in (16, 64):
-            traj = min_latency_trajectory(part, periods * 2 * part.dimension_exact)
-            for name, evaluate in (("refresh", refresh_time), ("latency", latency)):
-                total[0] = 0
-                evaluate(traj, chain)
-                counts[name, periods] = total[0]
-        assert counts["refresh", 16] == counts["refresh", 64] > 0
-        assert counts["latency", 16] == counts["latency", 64] > 0
+        for synth in (min_latency_trajectory, min_up_latency_trajectory):
+            for periods in (16, 64):
+                traj = synth(part, periods * 2 * part.dimension_exact)
+                for name, evaluate in (("refresh", refresh_time), ("latency", latency)):
+                    total[0] = 0
+                    evaluate(traj, chain)
+                    counts[synth, name, periods] = total[0]
+            assert counts[synth, "refresh", 16] == counts[synth, "refresh", 64] > 0
+            assert counts[synth, "latency", 16] == counts[synth, "latency", 64] > 0
 
 
 class TestLowerBounds:

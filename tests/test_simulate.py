@@ -99,6 +99,13 @@ class TestBasics:
             ("sigma2", -0.1),
             ("eta", float("nan")),
             ("eta", -1e-6),
+            ("detection_theta", 0.0),
+            ("detection_theta", -5.0),
+            ("detection_theta", float("nan")),
+            ("detection_theta", float("inf")),
+            ("detection_arm_time", float("nan")),
+            ("detection_arm_time", -100.0),
+            ("detection_arm_time", float("inf")),
         ],
     )
     def test_bad_noise_or_tolerance_rejected(self, field, value):
