@@ -26,17 +26,23 @@ import numpy as np
 from . import __version__
 from .cover import chainify, exact_path_cover, minmax_path_cover, path_cover_trajectory
 from .metrics import (
+    LatencyResult,
     comm_instants_from_trace,
     latency,
-    latency_from_phis,
     latency_lower_bounds,
     metrics_report,
     refresh_time,
-    refresh_time_from_trace,
 )
 from .partition import InfeasibleError, optimal_partition_bisect, optimal_partition_exact
 from .roadmap import ChainRoadmap, RoadmapError, TreeRoadmap, load_roadmap
-from .simulate import FailureWindow, SimConfig, noise_sweep, simulate, write_sweep_csv
+from .simulate import (
+    FailureWindow,
+    SimConfig,
+    evaluate_samples,
+    noise_sweep,
+    simulate,
+    write_sweep_csv,
+)
 from .trajectories import (
     TeamTrajectory,
     min_latency_trajectory,
@@ -179,20 +185,34 @@ def _cmd_eval(args) -> int:
     if args.trajectory:
         doc = json.loads(Path(args.trajectory).read_text("utf-8"))
         traj = TeamTrajectory.from_document(doc, chain=chain)
-        rt = refresh_time(traj, chain, warmup=args.warmup, strict=args.strict)
+        warmup = 0.0 if args.warmup is None else args.warmup
+        rt = refresh_time(traj, chain, warmup=warmup, strict=args.strict)
         lat = latency(traj, chain) if traj.m >= 2 else None
+        window = None
         inputs = [args.roadmap, args.trajectory]
     else:
         times, positions = _read_trace(args.trace)
-        rt = refresh_time_from_trace(
-            times, positions, chain.coordinates, warmup=args.warmup,
-            cap=None if args.strict else (2 * part.dimension if part else None),
-            strict=args.strict,
+        events = _read_events(args.trace)
+        if events is None:
+            # no event column (synth --trace): detect the meetings from positions
+            phis = comm_instants_from_trace(times, positions, chain)
+            events = {(q, q + 1): phi for q, phi in enumerate(phis) if phi}, []
+        comm, detects = events
+        tm = evaluate_samples(
+            times, positions, chain, comm, detects, part, args.warmup, strict=args.strict
         )
-        phis = comm_instants_from_trace(times, positions, chain)
-        lat = latency_from_phis(phis, float(times[-1])) if positions.shape[1] >= 2 else None
+        rt = tm.refresh
+        lat = None
+        if positions.shape[1] >= 2:
+            lat = LatencyResult(tm.latency_up, tm.latency_down, tm.latency)
+        source = "warmup" if args.warmup is not None else (
+            "converged" if tm.converged else "fallback"
+        )
+        window = {"warmup": tm.warmup, "source": source}
         inputs = [args.roadmap, args.trace]
     report = metrics_report(rt, lat, bounds)
+    if window is not None:
+        report["window"] = window
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", "utf-8")
     _write_manifest("eval", _cfg(args), inputs, [args.out], args.out)
     return 0
@@ -228,6 +248,46 @@ def _read_trace(path):
     if (np.diff(times) <= 0).any():
         raise ValueError(f"{path}: step times must strictly increase")
     return times, np.ascontiguousarray(rows["x"]).reshape(-1, m)
+
+
+def _read_events(path):
+    """Meetings and detections from the ``event`` column of a trace CSV, as
+    ``Trace.write_csv`` writes them, or ``None`` when the header has no such
+    column: a map from each pair (robot, its right neighbor) to the times of
+    its ``comm:<neighbor>`` tags, and the times of the ``detect`` tags.  The
+    rows must already have passed ``_read_trace``, so the times increase."""
+    data = Path(path).read_bytes()  # one buffer of the file's size
+    body = data.find(b"\n") + 1
+    header = data[:body].rstrip(b"\r\n").split(b",")
+    if b"event" not in header:
+        return None
+    col = header.index(b"event")
+    # few rows carry a tag: find the tags' rows by substring search instead
+    # of splitting every row
+    starts = set()
+    for word in (b"comm:", b"detect"):
+        k = data.find(word, body)
+        while k >= 0:
+            starts.add(data.rfind(b"\n", 0, k) + 1)
+            k = data.find(word, k + 1)
+    comm: dict[tuple[int, int], list[float]] = {}
+    detects: list[float] = []
+    for start in sorted(starts):
+        end = data.find(b"\n", start)
+        row = data[start : end if end >= 0 else None].rstrip(b"\r").split(b",")
+        tags = row[col].split(b"|") if len(row) > col else ()
+        for tag in tags:
+            kind, _, peer = tag.partition(b":")
+            if kind == b"comm":
+                try:
+                    pair = int(row[1]), int(peer)
+                except ValueError:
+                    bad = b",".join(row).decode(errors="replace")
+                    raise ValueError(f"{path}: bad comm tag in row {bad!r}") from None
+                comm.setdefault(pair, []).append(float(row[0]))
+            elif kind == b"detect":
+                detects.append(float(row[0]))
+    return comm, detects
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -407,9 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--trajectory", default=None)
     g.add_argument("--trace", default=None)
-    p.add_argument("-m", "--robots", type=int, default=None, help="recompute bounds for m robots")
+    p.add_argument(
+        "-m", "--robots", type=int, default=None,
+        help="robots of the final team: the bounds, and a trace's period and relay size",
+    )
     p.add_argument("--eps", type=float, default=1e-9)
-    p.add_argument("--warmup", type=float, default=0.0)
+    p.add_argument(
+        "--warmup", type=float, default=None,
+        help="start of the evaluation window (default: 0 for a trajectory; for a trace, "
+        "its detected convergence at the period of -m, else its second half)",
+    )
     p.add_argument("--strict", action="store_true", help="raw boundary-inclusive refresh time")
     p.add_argument("--out", required=True)
 

@@ -390,9 +390,12 @@ def latency_lower_bounds(partition: Partition) -> tuple[float, float]:
 
 
 def metrics_report(rt: float, lat: LatencyResult | None, bounds=None) -> dict:
-    doc: dict = {"refresh_time": "inf" if math.isinf(rt) else rt}
+    def num(x):  # bare Infinity is not JSON
+        return "inf" if math.isinf(x) else x
+
+    doc: dict = {"refresh_time": num(rt)}
     if lat is not None:
-        doc["latency"] = {"up": lat.up, "down": lat.down, "overall": lat.overall}
+        doc["latency"] = {"up": num(lat.up), "down": num(lat.down), "overall": num(lat.overall)}
     if bounds is not None:
         doc["bounds"] = {"up_lb": bounds[0], "periodic_lb": bounds[1]}
     return doc
@@ -468,28 +471,26 @@ def comm_instants_from_trace(
     times: np.ndarray,
     positions: np.ndarray,
     chain: ChainRoadmap,
-    relay=None,
     eta: float = 1e-6,
 ) -> list[list[float]]:
-    """Pairwise communication instants detected from a sampled trace.
+    """Meeting instants of each pair of neighboring robots (columns q and
+    q + 1) detected from a sampled trace.
 
     A pair communicates while both robots sit within eta of chain-adjacent
-    viewpoints; each such run of samples collapses to its first time.
+    viewpoints; each such run of samples is one meeting, at its first time.
     """
     coords = np.asarray(chain.coordinates)
-    m = positions.shape[1]
-    relay = list(relay) if relay is not None else list(range(m))
     phis = []
-    for q in range(len(relay) - 1):
-        xa = positions[:, relay[q]]
-        xb = positions[:, relay[q + 1]]
+    for q in range(positions.shape[1] - 1):
+        xa = positions[:, q]
+        xb = positions[:, q + 1]
         co = np.zeros(len(times), dtype=bool)
         for k in range(len(coords) - 1):
             u, v = coords[k], coords[k + 1]
             co |= (np.abs(xa - u) <= eta) & (np.abs(xb - v) <= eta)
             co |= (np.abs(xa - v) <= eta) & (np.abs(xb - u) <= eta)
         starts = np.flatnonzero(co & ~np.concatenate(([False], co[:-1])))
-        phis.append(sorted({0.0} | {float(times[s]) for s in starts}))
+        phis.append(times[starts].tolist())
     return phis
 
 

@@ -15,7 +15,10 @@ scalars, and IEEE double arithmetic on Python floats matches numpy float64
 bit for bit, so multi-thousand-run noise sweeps stay cheap without an
 accelerator.  Integration is fixed-step with exact event correction: a
 robot that would overrun a cluster boundary within a step is placed
-exactly on it, which keeps meetings grid-exact in the noiseless case.
+exactly on it, which keeps meetings grid-exact in the noiseless case, and
+a phase timer that expires within a step fires there: the robot waits out
+the rest of the timer and moves for the remainder of the step, so a wait
+that is not a whole number of steps still ends.
 Robots holding position station-keep toward their boundary viewpoint so
 actuation noise cannot let them drift away.
 
@@ -35,11 +38,12 @@ which the survivors repartition the chain among themselves and resume.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import latency_from_phis, refresh_time_from_trace
+from .metrics import LatencyResult, latency_from_phis, refresh_time_from_trace
 from .partition import InfeasibleError, Partition, optimal_partition_bisect
 from .roadmap import ChainRoadmap
 from .trajectories import aggregate_clusters, write_trace_rows
@@ -116,43 +120,6 @@ class Trace:
     config: SimConfig
     detect_time: float | None = None
     new_partition: Partition | None = None
-    final_relay: tuple[int, ...] = ()
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def comm_phis(self, relay: list[int], t_min: float = 0.0, t_max: float | None = None):
-        """Per-pair communication instant lists from logged events."""
-        t_max = self.horizon if t_max is None else t_max
-        pairs = {(relay[q], relay[q + 1]): q for q in range(len(relay) - 1)}
-        phis: list[list[float]] = [[] for _ in range(len(relay) - 1)]
-        for t, kind, i, j in self.events:
-            if kind != "comm" or not t_min <= t <= t_max:
-                continue
-            q = pairs.get((i, j))
-            if q is not None:
-                phis[q].append(t)
-        return [sorted(p) for p in phis]
-
-    def convergence_time(self, period: float, tol: float = 1e-9) -> float | None:
-        """Earliest time after which the trace is ``period``-periodic."""
-        pk = period / self.config.dt
-        if abs(pk - round(pk)) > 1e-9:
-            raise ValueError("period must be an integer number of steps")
-        pk = int(round(pk))
-        pos = self.positions
-        if len(pos) <= pk:
-            return None
-        diff = np.abs(pos[:-pk] - pos[pk:]).max(axis=1)
-        ok = diff <= tol
-        if not ok[-1]:
-            return None
-        bad = np.flatnonzero(~ok)
-        k0 = 0 if len(bad) == 0 else int(bad[-1]) + 1
-        if len(pos) - 1 - k0 < 2 * pk:  # need two steady periods to call it
-            return None
-        return k0 * self.config.dt
 
     def write_csv(self, path) -> None:
         tags: dict[tuple[int, int], str] = {}  # (step, robot) -> event column
@@ -248,8 +215,13 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
         for i in live:
             # timers fire before integration so zero-length waits cost nothing
             ti = timer[i]
+            step_dt = dt
             if ti >= 0.0:
-                if ti <= 1e-12:
+                if ti < dt:
+                    # the timer expires within this step: the robot waits
+                    # it out, then moves for the rest of the step
+                    if ti > 1e-12:
+                        step_dt = dt - ti
                     ti = timer[i] = -1.0
                     dirv[i] = pend[i]
                     hold[i] = nan
@@ -294,7 +266,7 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
                         u = 1.0
                     elif u < -1.0:
                         u = -1.0
-            newpos = x + (u + vel_noise[i]) * dt
+            newpos = x + (u + vel_noise[i]) * step_dt
             if lo[i] <= x <= hi[i]:
                 if newpos >= ri:
                     if d > 0 and x < ri:
@@ -333,7 +305,7 @@ class _TeamState:
     neighbors ``i = p`` and ``j = p + 1``.
     """
 
-    def __init__(self, chain: ChainRoadmap, partition: Partition, robot_ids, rng, eta):
+    def __init__(self, partition: Partition, robot_ids, rng, eta):
         active = partition.active
         self.robot_ids = list(robot_ids[: len(active)])
         self.parked_ids = list(robot_ids[len(active) :])
@@ -414,7 +386,7 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     rng = np.random.default_rng(cfg.seed)
     m = partition.m
     steps = cfg.steps
-    state = _TeamState(chain, partition, list(range(m)), rng, cfg.eta)
+    state = _TeamState(partition, list(range(m)), rng, cfg.eta)
 
     # noise rows are indexed by global step, columns by original robot id,
     # so segmentation and repartition never change which draw a robot sees;
@@ -522,7 +494,7 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
                 chain, len(survivors), cfg.repartition_eps
             )
             events.append((detect_time, "repartition", -1, -1))
-            state = _TeamState(chain, new_partition, survivors, None, cfg.eta)
+            state = _TeamState(new_partition, survivors, None, cfg.eta)
             state.pos = [old_pos[rid] for rid in state.robot_ids]
             state.dir = [old_dir[rid] or 1 for rid in state.robot_ids]
             state.a_time = [detect_time] * len(state.robot_ids)
@@ -553,7 +525,6 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
         config=cfg,
         detect_time=detect_time,
         new_partition=new_partition,
-        final_relay=tuple(state.robot_ids),
     )
 
 
@@ -571,54 +542,131 @@ class TraceMetrics:
     converged: bool
 
 
-def evaluate_trace(
-    trace: Trace,
-    warmup: float | None = None,
-    relay: list[int] | None = None,
-    partition: Partition | None = None,
-) -> TraceMetrics:
-    """Refresh time and latency of a trace over its steady window.
+def convergence_time(times, positions, period: float, tol: float = 1e-9) -> float | None:
+    """Earliest sample time after which evenly spaced samples are
+    ``period``-periodic to within ``tol``.
 
-    When no warmup is given, the detected convergence time is used and the
-    run is marked converged; if the trace never settles (noisy runs), the
-    second half of the horizon is evaluated instead.
+    ``None`` when the period is not a whole number of sample steps, when
+    the last samples differ from those one period earlier, or when fewer
+    than two steady periods follow.
     """
-    part = partition or trace.partition
-    dmax = part.dimension
-    period = 2.0 * dmax
+    if len(times) < 2:
+        return None
+    pk = period / float(times[1] - times[0])
+    if pk < 1 or abs(pk - round(pk)) > 1e-9:
+        return None
+    pk = int(round(pk))
+    if len(positions) <= pk:
+        return None
+    diff = np.abs(positions[:-pk] - positions[pk:]).max(axis=1)
+    ok = diff <= tol
+    if not ok[-1]:
+        return None
+    bad = np.flatnonzero(~ok)
+    k0 = 0 if len(bad) == 0 else int(bad[-1]) + 1
+    if len(positions) - 1 - k0 < 2 * pk:  # need two steady periods to call it
+        return None
+    return float(times[k0])
+
+
+def _relay(pairs) -> list[int] | None:
+    """The robots of the distinct (left, right neighbor) ``pairs`` as one
+    left-to-right chain, or ``None`` when the pairs do not form one."""
+    right = dict(pairs)
+    left = {j: i for i, j in pairs}
+    heads = [i for i in right if i not in left]
+    if len(right) != len(pairs) or len(left) != len(pairs) or len(heads) != 1:
+        return None
+    relay = heads
+    while relay[-1] in right:
+        relay.append(right[relay[-1]])
+    return relay if len(relay) == len(pairs) + 1 else None
+
+
+def _relay_latency(comm, detects, team, warmup, horizon) -> LatencyResult:
+    """Latency of the relay that ``comm``'s pairs form after the last
+    detection, through their meetings at or after ``warmup``; inf when
+    they do not form one chain (of ``team`` robots, when that is given) or
+    a pair of it does not meet."""
+    if team == 1:
+        return latency_from_phis((), horizon)
+    last = max(detects, default=-math.inf)
+    relay = _relay([pair for pair, ts in comm.items() if ts[-1] >= last])
+    if relay is not None and team in (None, len(relay)):
+        phis = [comm[pair] for pair in zip(relay, relay[1:])]
+        phis = [ts[bisect_left(ts, warmup) :] for ts in phis]
+        if all(phis):
+            return latency_from_phis(phis, horizon)
+    return LatencyResult(math.inf, math.inf, math.inf)
+
+
+def evaluate_samples(
+    times: np.ndarray,
+    positions: np.ndarray,
+    chain: ChainRoadmap,
+    comm: dict[tuple[int, int], list[float]],
+    detects,
+    partition: Partition | None = None,
+    warmup: float | None = None,
+    eta: float = 1e-6,
+    strict: bool = False,
+) -> TraceMetrics:
+    """Refresh time and latency of a sampled trace over the window [warmup, T].
+
+    ``comm`` maps each pair (robot, its right neighbor) that met to its
+    sorted meeting instants, and ``detects`` holds the failure detection
+    times.  ``partition`` is the final one, when known: twice its dimension
+    is the period convergence is detected at and caps the gaps at the
+    window's ends (``strict`` counts them in full instead).
+
+    Without a warmup the window starts at the detected convergence time and
+    the run is marked converged; when the trace never settles, or there is
+    no partition, the trailing half of the trace is evaluated.  Messages
+    relay along the left-to-right chain of the pairs that meet after the
+    last detection (over the whole trace when there was none), through
+    their meetings inside the window.  Latency is inf when those pairs do
+    not form one chain of the partition's team, or when one of them does
+    not meet inside the window.
+    """
+    horizon = float(times[-1])
+    period = team = None
+    if partition is not None:
+        period, team = 2.0 * partition.dimension, partition.cardinality
     converged = False
     if warmup is None:
-        t_conv = trace.convergence_time(period, tol=trace.config.eta)
+        t_conv = None if period is None else convergence_time(times, positions, period, eta)
         if t_conv is not None:
             warmup, converged = t_conv, True
         else:
-            warmup = trace.horizon / 2.0
-    if relay is None:
-        if part is trace.new_partition:
-            relay = list(trace.final_relay)
-        else:
-            relay = list(range(part.cardinality))
+            warmup = horizon / 2.0
     rt = refresh_time_from_trace(
-        trace.times,
-        trace.positions,
-        trace.chain.coordinates,
-        eta=trace.config.eta,
-        warmup=warmup,
-        cap=period,
+        times, positions, chain.coordinates, eta=eta, warmup=warmup,
+        cap=None if strict else period, strict=strict,
     )
-    phis = trace.comm_phis(relay, t_min=warmup)
-    if any(not p for p in phis):
-        lat_up = lat_down = lat_all = math.inf
-    else:
-        res = latency_from_phis(phis, trace.horizon)
-        lat_up, lat_down, lat_all = res.up, res.down, res.overall
+    lat = _relay_latency(comm, detects, team, warmup, horizon)
     return TraceMetrics(
         refresh=rt,
-        latency_up=lat_up,
-        latency_down=lat_down,
-        latency=lat_all,
+        latency_up=lat.up,
+        latency_down=lat.down,
+        latency=lat.overall,
         warmup=warmup,
         converged=converged,
+    )
+
+
+def evaluate_trace(trace: Trace, warmup: float | None = None) -> TraceMetrics:
+    """``evaluate_samples`` of a simulated trace, from its logged meetings
+    and detections, its final partition and its meeting tolerance."""
+    comm: dict[tuple[int, int], list[float]] = {}
+    detects = []
+    for t, kind, i, j in trace.events:
+        if kind == "comm":
+            comm.setdefault((i, j), []).append(t)
+        elif kind == "detect":
+            detects.append(t)
+    return evaluate_samples(
+        trace.times, trace.positions, trace.chain, comm, detects,
+        trace.new_partition or trace.partition, warmup, trace.config.eta,
     )
 
 

@@ -233,7 +233,7 @@ def test_criterion_07_permanent_failure():
     exact9 = optimal_partition_exact(chain, 9)
     assert abs(new.dimension - exact9.dimension) <= EPS
     assert new.dimension >= part.dimension
-    tm = evaluate_trace(trace, partition=new)
+    tm = evaluate_trace(trace)
     assert tm.converged
     assert abs(tm.refresh - 2 * exact9.dimension) <= 2 * DT
     announce(

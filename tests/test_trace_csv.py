@@ -42,10 +42,13 @@ CSV_DIGESTS = {
     "noisy": "ee0e2cf1c7cacf6ab8c23124bf473647631e1d3e71afa9ead53c7b2a24c0ee8b",
 }
 
-# eval --trace -m M --warmup W on the CSVs above: (M, W, digest of the JSON)
+# eval --trace -m M --warmup W on the CSVs above: (M, W, digest of the JSON).
+# c6 reads latency 16.0; c7's 20-unit window is shorter than one relay, and
+# the relays the horizon cuts count T - t_src, so it reads 14.96875, below
+# the periodic bound 18.0
 EVAL_DIGESTS = {
-    "c6": (10, 500.0, "6f243c7bb6c054d38e93427ebd6b404fda387e8c7f5087eda008fb4c31c45094"),
-    "c7": (9, 420.0, "8b4ab093b9401d7e7b3f414bc17d09451fa2c36efb1ba7847dd083620ae0452d"),
+    "c6": (10, 500.0, "ab47c0689fda17fce5f48362f2ed23e02bf82b9711d7c971a6966ef53ea8c2c7"),
+    "c7": (9, 420.0, "a26302e9d07690e94c2b5eec6ebcd8a063d362281ffd1634825ba0c50a43f017"),
 }
 
 # synth --mode MODE -m 3 --horizon 30 --trace --dt 0.01 on FLOAT_CHAIN

@@ -14,7 +14,6 @@ change.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import pytest
 
@@ -134,13 +133,13 @@ METRICS = {
     "c5_seed2": (4.0, 16.0, 16.0, 16.0, 17.46875, True),
     "c5_seed3": (4.0, 16.0, 16.0, 16.0, 19.78125, True),
     "c6": (4.0, 16.0, 16.0, 16.0, 413.0, True),
-    "c7": (25.03125, 151.0, 143.0, 151.0, 220.0, False),
+    # the survivors' partition sets the period, and the relay skips dead robot 6
+    "c7": (6.0, 18.0, 18.0, 18.0, 329.03125, True),
     "noisy_0.1": (4.9375, 17.65625, 17.9375, 17.9375, 70.0, False),
     "noisy_0.2": (5.0, 18.09375, 18.21875, 18.21875, 70.0, False),
     "noisy_0.3": (5.5, 18.84375, 18.25, 18.84375, 70.0, False),
     "m12_noisy_0.2": (5.03125, 18.125, 18.375, 18.375, 70.0, False),
-    # the default relay still runs through dead robot 6: no message completes
-    "m12_detect_rejoin": (4.0, math.inf, math.inf, math.inf, 118.875, True),
+    "m12_detect_rejoin": (4.0, 16.0, 16.0, 16.0, 118.875, True),
     "eta0": (4.0, 16.0, 16.0, 16.0, 15.96875, True),
 }
 
