@@ -27,8 +27,22 @@ the step's start.  The kernel computes them once on entry; after that each
 live robot computes its next flags from the position it has just written,
 into a second pair of lists that is swapped in at the end of the step, so
 a neighbor later in the same pass still reads the start-of-step value.
-The kernel extends flat lists of positions and directions, which become
-the trace's rows in one conversion per segment.
+
+Between boundary events a robot is in free flight: it moves at unit speed
+plus noise, and no rule applies to it until it nears a boundary, meets a
+neighbor or its timer fires.  Most robot-steps are of that kind, so the
+kernel advances a free robot a whole stretch of steps at once.  A stretch
+starts at the robot's pass in a step when its timer neither runs nor fired
+within that step (so it moves for a full ``dt``), it moves, it is at
+neither boundary and it is inside its cluster.  Its positions are one
+``np.add.accumulate`` over ``[x, (u + n_k) * dt, ...]``, which adds left to
+right, so each is the same IEEE result as the step's ``x + (u + n) * dt``.
+The stretch ends before the first position that a snap or a boundary flag
+would act on, and the kernel takes that step in the usual way.  Its flags
+stay False throughout, so no neighbor and no meeting sees a difference.
+When every live robot is mid-stretch, the team jumps to the earliest end.
+Positions and directions are written straight into the trace's arrays,
+a stretch as one column slice.
 
 Failures: a failed robot freezes in place and stops communicating.
 Permanent failures are detected by per-pair communication timeouts, after
@@ -135,24 +149,95 @@ class Trace:
 _SPEED = (0.0, 1.0, -1.0)  # float(d) for a direction d in {0, 1, -1}
 
 
-def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
-    """Advance the team one step per row of ``noise``, from global step ``k0``.
+def _free_run(x, u, noise, dt, li, ri, eta, out, work) -> int:
+    """Fly a robot from ``x`` at speed ``u`` on cluster [li, ri] for up to
+    ``len(out) - 1`` steps.
 
-    Works on the Python lists of ``st`` in place.  Extends the flat lists
-    ``out_pos``/``out_dir`` by each step's positions and directions, in team
-    order, and appends each meeting as ``(step, pair)`` to ``comm``.
-    Returns the number of steps taken and the pair whose communication
-    timeout fired (-1 when none did).
+    Writes ``x`` to ``out[0]`` and after step ``j`` the position
+    ``out[j] + (u + noise[j]) * dt`` to ``out[j + 1]`` (``noise`` None is
+    zero noise): the kernel's own IEEE operations in its order, since
+    ``np.add.accumulate`` adds strictly left to right.  Returns how many
+    leading positions ``p`` are free, ``p - li > eta`` and ``p - ri < -eta``,
+    so that the step to ``p`` snaps onto no boundary and the step after it
+    sees neither boundary flag; ``out`` beyond them is scratch.  The right
+    test is made as ``ri - p > eta``, its negation in IEEE arithmetic.
+    ``work`` is a float and a bool buffer, of at least ``2 * (len(out) - 1)``
+    and ``len(out) - 1`` elements.
+    """
+    w = len(out) - 1
+    path = out[1:]
+    if noise is None:
+        path.fill(u * dt)
+    else:
+        np.add(noise, u, out=path)
+        np.multiply(path, dt, out=path)
+    out[0] = x
+    np.add.accumulate(out, out=out)
+    gaps, near = work
+    left, right, near = gaps[:w], gaps[w : 2 * w], near[:w]
+    np.subtract(path, li, out=left)
+    np.subtract(ri, path, out=right)
+    np.minimum(left, right, out=left)
+    np.less_equal(left, eta, out=near)
+    c = int(near.argmax())
+    return c if near[c] else w
+
+
+def _first_timeout(s0: int, s1: int, dt: float, base: float, theta: float) -> int:
+    """The first step ``s`` in [s0, s1) whose communication timeout
+    ``(s * dt + dt) - base > theta`` fires, or ``s1`` when none does.
+
+    The left side grows with ``s``, so a guess from the real-number
+    solution is corrected one step at a time."""
+    s = min(max(s0, math.floor((theta + base) / dt) - 1), s1)
+    while s > s0 and ((s - 1) * dt + dt) - base > theta:
+        s -= 1
+    while s < s1 and not (s * dt + dt) - base > theta:
+        s += 1
+    return s
+
+
+def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_from):
+    """Advance the team from global step ``k0`` for up to ``k1 - k0`` steps.
+
+    Works on the Python lists of ``st`` in place.  ``noise`` holds the
+    velocity noise of steps ``k0..k1-1`` as a (steps, robots) array in team
+    order, or None for none.  Writes each step's positions and directions
+    into rows ``k0 + 1..`` of ``out_pos``/``out_dir`` at the columns
+    ``st.robot_ids`` of the live robots, and appends each meeting as
+    ``(step, pair)`` to ``comm``.  Returns the number of steps taken and
+    the pair whose communication timeout fired (-1 when none did).
+
+    A robot in free flight is advanced a stretch of steps at once (see the
+    module docstring).  It starts one at its pass in a step when its timer
+    is neither running nor fired within the step, it moves, it is at
+    neither boundary and it is inside its cluster.  Then no rule acts on it
+    until it nears a boundary: no neighbor reads more than its flags, which
+    stay False, so no meeting involves it.  ``_free_run`` computes the
+    stretch with the step's own arithmetic, up to the segment end at most,
+    and cuts it before the first position at which a snap or a boundary flag
+    would act; the kernel takes that step in the usual way, without trying
+    a stretch that it already knows to be empty.  The robot is skipped
+    until its stretch ends, with ``pos`` already at the stretch's last
+    position.  When every live robot is mid-stretch, the team jumps to the
+    earliest end: every latch opens, and the communication timeout is
+    checked for each step jumped over.  A timeout cuts the stretches that
+    run past it back to its step.
     """
     pos, dirv, hold, timer, pend = st.pos, st.dir, st.hold, st.timer, st.pend
     a_time, nmeet, latch, last_comm = st.a_time, st.nmeet, st.latch, st.last_comm
     l, r, left_ext, right_ext, delta = st.l, st.r, st.left_ext, st.right_ext, st.delta
-    failed, eta = st.failed, st.eta
+    failed, eta, cols = st.failed, st.eta, st.robot_ids
     nan = math.nan
     ma = len(pos)
+    n = k1 - k0
     live = [i for i in range(ma) if not failed[i]]
     lo = [b - eta for b in l]
     hi = [b + eta for b in r]
+    rows = [[0.0] * ma] * n if noise is None else noise.tolist()
+    work = (np.empty(2 * n), np.empty(n, dtype=bool))
+    until = [0] * ma  # first step after robot i's stretch
+    cut = [-1] * ma  # step of robot i that ended its last stretch
     # start-of-step boundary flags (-eta <= x - b <= eta is abs(x - b) <= eta);
     # a failed robot is at neither of its boundaries, so its flags stay
     # False in both pairs
@@ -165,9 +250,13 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
     nx_l = at_l[:]
     nx_r = at_r[:]
     pairs = range(ma - 1)
-    for k, vel_noise in enumerate(noise):
+    done, pair = n, -1
+    k = 0
+    while k < n:
         step = k0 + k
         t = step * dt
+        row = step + 1
+        vel_noise = rows[k]
         # pair meetings: latch once per joint dwell at the shared boundary
         for p in pairs:
             if not (at_r[p] and at_l[p + 1]):
@@ -209,10 +298,17 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
             else:
                 dirv[j] = 0
                 hold[j] = l[j]
-        # one pass per live robot: its timer, boundary rule and integration
-        # touch only its own state, and it reads its neighbors through the
-        # start-of-step flags, so its new flags go to the other pair
+        # one pass per live robot not mid-stretch: its timer, boundary rule
+        # and integration touch only its own state, and it reads its
+        # neighbors through the start-of-step flags, so its new flags go to
+        # the other pair; ``wake`` is the next step some robot needs a pass
+        wake = n
         for i in live:
+            e = until[i]
+            if e > k:
+                if e < wake:
+                    wake = e
+                continue
             # timers fire before integration so zero-length waits cost nothing
             ti = timer[i]
             step_dt = dt
@@ -256,6 +352,35 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
             d = dirv[i]
             if d != 0:
                 u = _SPEED[d]
+                if (
+                    step_dt == dt
+                    and ti < 0.0
+                    and cut[i] != k
+                    and not (at_l[i] or at_r[i])
+                    and lo[i] <= x <= hi[i]
+                ):
+                    # free flight: a stretch to about the far boundary, with
+                    # 32 steps to spare for noise (a shorter one just ends
+                    # free, and the next step starts another)
+                    w = n - k
+                    reach = (ri - x if d > 0 else x - li) / dt
+                    if reach + 32.0 < w:
+                        w = int(reach) + 32
+                    col = out_pos[step : row + w, cols[i]]
+                    c = _free_run(
+                        x, u, None if noise is None else noise[k : k + w, i],
+                        dt, li, ri, eta, col, work,
+                    )
+                    if c:
+                        e = until[i] = k + c
+                        if c < w:
+                            cut[i] = e
+                        if e < wake:
+                            wake = e
+                        pos[i] = col[c].item()
+                        out_dir[row : row + c, cols[i]] = d
+                        nx_l[i] = nx_r[i] = False
+                        continue
             else:
                 h = hold[i]
                 if h != h:  # NaN: nothing to station-keep toward
@@ -281,12 +406,13 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
                 newpos = ri
                 a_time[i] = t + dt
             pos[i] = newpos
+            out_pos[row, cols[i]] = newpos
+            out_dir[row, cols[i]] = d
             nx_l[i] = -eta <= newpos - li <= eta
             nx_r[i] = -eta <= newpos - ri <= eta
+            wake = k + 1
         at_l, nx_l = nx_l, at_l
         at_r, nx_r = nx_r, at_r
-        out_pos.extend(pos)
-        out_dir.extend(dirv)
         # communication-timeout failure detection
         if theta > 0.0:
             for p in pairs:
@@ -294,8 +420,32 @@ def _step_kernel(st, k0, dt, noise, out_pos, out_dir, comm, theta, detect_from):
                 if base < detect_from:
                     base = detect_from
                 if (t + dt) - base > theta:
-                    return k + 1, p
-    return len(noise), -1
+                    done, pair = k + 1, p
+                    break
+            if pair >= 0:
+                break
+        if wake > k + 1:
+            # every live robot is mid-stretch until ``wake``: no flag is up,
+            # so no pair meets and every latch opens
+            for p in pairs:
+                latch[p] = False
+            if theta > 0.0 and ma > 1:
+                base = max(min(last_comm), detect_from)
+                s = _first_timeout(row, k0 + wake, dt, base, theta)
+                if s < k0 + wake:
+                    t = s * dt
+                    for p in pairs:
+                        if (t + dt) - max(last_comm[p], detect_from) > theta:
+                            done, pair = s - k0 + 1, p
+                            break
+                    break
+        k = wake
+    # a detection cuts short the stretches that run past it
+    if done < n:
+        for i in live:
+            if until[i] > done:
+                pos[i] = out_pos[k0 + done, cols[i]].item()
+    return done, pair
 
 
 class _TeamState:
@@ -349,6 +499,12 @@ class _TeamState:
 
 
 def _validate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> None:
+    ours, theirs = chain.coordinates, partition.chain.coordinates
+    if theirs != ours:
+        raise ValueError(
+            f"partition is of a chain of {len(theirs)} viewpoints ending at {theirs[-1]}, "
+            f"not of the simulated chain of {len(ours)} viewpoints ending at {ours[-1]}"
+        )
     for fw in cfg.failures:
         if not 0 <= fw.robot < partition.m:
             raise ValueError(
@@ -430,22 +586,16 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
 
     def run_segment(st: _TeamState, k0: int, k1: int) -> tuple[int, int]:
         cols = st.robot_ids
-        ma = len(cols)
-        if lanes is None:
-            seg_noise = [[0.0] * ma] * (k1 - k0)
-        else:
-            seg_noise = lanes[k0:k1].tolist()
-        seg_pos: list[float] = []
-        seg_dir: list[int] = []
         comm: list[tuple[int, int]] = []
         done, pair = _step_kernel(
-            st, k0, cfg.dt, seg_noise, seg_pos, seg_dir, comm, theta, detect_from
+            st, k0, k1, cfg.dt, None if lanes is None else lanes[k0:k1],
+            out_pos, out_dir, comm, theta, detect_from,
         )
         rows = slice(k0 + 1, k0 + done + 1)
-        out_pos[rows, cols] = np.array(seg_pos, dtype=np.float64).reshape(done, ma)
-        dirs = np.array(seg_dir, dtype=np.int8).reshape(done, ma)
-        dirs[:, [i for i, f in enumerate(st.failed) if f]] = 0  # failed robots stand still
-        out_dir[rows, cols] = dirs
+        for i, f in enumerate(st.failed):
+            if f:  # failed robots stand still
+                out_pos[rows, cols[i]] = st.pos[i]
+                out_dir[rows, cols[i]] = 0
         events.extend((step * cfg.dt, "comm", cols[p], cols[p + 1]) for step, p in comm)
         return done, pair
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patrolsim.metrics import communication_instants, latency_lower_bounds
 from patrolsim.partition import (
@@ -15,6 +16,7 @@ from patrolsim.roadmap import ChainRoadmap
 from patrolsim.simulate import (
     FailureWindow,
     SimConfig,
+    _free_run,
     case_study_chain,
     convergence_time,
     evaluate_trace,
@@ -177,6 +179,61 @@ class TestBasics:
             evaluate_trace(trace, warmup=warmup)
 
 
+    def test_partition_of_another_chain_is_rejected(self):
+        # the same viewpoint count twice as far apart: before this check the
+        # robots swept the partition's chain, out to 58 on a chain ending at
+        # 29, and evaluation reported an infinite refresh time as converged
+        chain = case_study_chain(30)
+        part, _ = optimal_partition_bisect(case_study_chain(30, 2.0), 10, 1e-9)
+        with pytest.raises(ValueError, match="30 viewpoints ending at 58.0.*30 viewpoints ending at 29.0"):
+            simulate(chain, part, SimConfig(dt=DT, horizon=10.0, seed=0))
+
+    def test_partition_of_an_equal_chain_is_accepted(self):
+        chain, part = uniform_case()
+        trace = simulate(case_study_chain(30), part, SimConfig(dt=DT, horizon=60.0, seed=9))
+        assert np.array_equal(
+            trace.positions, simulate(chain, part, SimConfig(dt=DT, horizon=60.0, seed=9)).positions
+        )
+
+
+class TestFreeFlight:
+    """``_free_run`` against the per-step loop it stands in for."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_stretch_equals_the_step_loop(self, data):
+        li = data.draw(st.floats(-40.0, 40.0), label="li")
+        ri = li + data.draw(st.floats(0.1, 12.0), label="length")
+        eta = data.draw(st.sampled_from([0.0, 1e-6]), label="eta")
+        dt = data.draw(st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]), label="dt")
+        u = data.draw(st.sampled_from([1.0, -1.0]), label="u")
+        # start a few steps from either boundary, on it, or anywhere between
+        near = data.draw(st.floats(-1e-6, 4 * dt), label="offset")
+        x = data.draw(
+            st.sampled_from([li + near, ri - near, li, ri, (li + ri) / 2.0]), label="x"
+        )
+        sigma = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.71]), label="sigma")
+        steps = data.draw(st.integers(1, 1500), label="steps")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        noise = np.random.default_rng(seed).normal(0.0, sigma, steps) if sigma else None
+
+        out = np.empty(steps + 1)
+        work = (np.empty(2 * steps), np.empty(steps, bool))
+        c = _free_run(x, u, noise, dt, li, ri, eta, out, work)
+
+        # the kernel's integration and the predicates that end free flight:
+        # a snap onto a boundary, or a boundary flag up for the next step
+        expected, p = [], x
+        for n in [0.0] * steps if noise is None else noise.tolist():
+            p = p + (u + n) * dt
+            if p >= ri or p <= li or -eta <= p - li <= eta or -eta <= p - ri <= eta:
+                break
+            expected.append(p)
+        assert out[0] == x
+        assert out[1 : c + 1].tolist() == expected
+        assert c == len(expected)
+
+
 class TestConvergence:
     def test_many_seeds_reach_optimum(self):
         chain, part = uniform_case()
@@ -291,6 +348,22 @@ class TestFailures:
         assert tm.converged and tm.warmup >= 400.0
         assert tm.refresh == 2 * part.dimension
         assert tm.latency == latency_lower_bounds(part)[1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_timeout_fires_at_its_own_step_in_free_flight(self, seed):
+        # two clusters 14.5 long: the pair's timeout of 3 expires while both
+        # robots fly between their boundaries, and it must fire at the first
+        # step that ends more than theta after the pair's last meeting
+        chain, part = uniform_case(m=2)
+        theta = 3.0
+        cfg = SimConfig(dt=DT, horizon=20.0, seed=seed, detection_theta=theta)
+        trace = simulate(chain, part, cfg)
+        met = [t for t, kind, _, _ in trace.events if kind == "comm" and t < trace.detect_time]
+        base = max([0.0] + met)
+        s = 0
+        while not (s * DT + DT) - base > theta:
+            s += 1
+        assert trace.detect_time == (s + 1) * DT
 
     def test_permanent_failure_detection_and_repartition(self):
         chain, part = uniform_case()
