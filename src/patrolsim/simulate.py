@@ -183,20 +183,6 @@ def _free_run(x, u, noise, dt, li, ri, eta, out, work) -> int:
     return c if near[c] else w
 
 
-def _first_timeout(s0: int, s1: int, dt: float, base: float, theta: float) -> int:
-    """The first step ``s`` in [s0, s1) whose communication timeout
-    ``(s * dt + dt) - base > theta`` fires, or ``s1`` when none does.
-
-    The left side grows with ``s``, so a guess from the real-number
-    solution is corrected one step at a time."""
-    s = min(max(s0, math.floor((theta + base) / dt) - 1), s1)
-    while s > s0 and ((s - 1) * dt + dt) - base > theta:
-        s -= 1
-    while s < s1 and not (s * dt + dt) - base > theta:
-        s += 1
-    return s
-
-
 def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_from):
     """Advance the team from global step ``k0`` for up to ``k1 - k0`` steps.
 
@@ -220,9 +206,10 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
     a stretch that it already knows to be empty.  The robot is skipped
     until its stretch ends, with ``pos`` already at the stretch's last
     position.  When every live robot is mid-stretch, the team jumps to the
-    earliest end: every latch opens, and the communication timeout is
-    checked for each step jumped over.  A timeout cuts the stretches that
-    run past it back to its step.
+    earliest end: every latch opens, and the jump stops short at the first
+    step whose communication timeout fires (the pair that last met earliest
+    times out first), which is then taken in the usual way.  A timeout cuts
+    the stretches that run past it back to its step.
     """
     pos, dirv, hold, timer, pend = st.pos, st.dir, st.hold, st.timer, st.pend
     a_time, nmeet, latch, last_comm = st.a_time, st.nmeet, st.latch, st.last_comm
@@ -426,19 +413,16 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
                 break
         if wake > k + 1:
             # every live robot is mid-stretch until ``wake``: no flag is up,
-            # so no pair meets and every latch opens
+            # so no pair meets and every latch opens; the jump lands early
+            # on a step whose communication timeout fires
             for p in pairs:
                 latch[p] = False
             if theta > 0.0 and ma > 1:
                 base = max(min(last_comm), detect_from)
-                s = _first_timeout(row, k0 + wake, dt, base, theta)
-                if s < k0 + wake:
-                    t = s * dt
-                    for p in pairs:
-                        if (t + dt) - max(last_comm[p], detect_from) > theta:
-                            done, pair = s - k0 + 1, p
-                            break
-                    break
+                for s in range(k + 1, wake):
+                    if ((k0 + s) * dt + dt) - base > theta:
+                        wake = s
+                        break
         k = wake
     # a detection cuts short the stretches that run past it
     if done < n:
