@@ -160,7 +160,8 @@ def _free_run(x, u, noise, dt, li, ri, eta, out, work) -> int:
     leading positions ``p`` are free, ``p - li > eta`` and ``p - ri < -eta``,
     so that the step to ``p`` snaps onto no boundary and the step after it
     sees neither boundary flag; ``out`` beyond them is scratch.  The right
-    test is made as ``ri - p > eta``, its negation in IEEE arithmetic.
+    test is made as ``ri - p > eta``: IEEE subtraction is antisymmetric, so
+    ``ri - p`` is exactly ``-(p - ri)``.
     ``work`` is a float and a bool buffer, of at least ``2 * (len(out) - 1)``
     and ``len(out) - 1`` elements.
     """
@@ -222,7 +223,11 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
     lo = [b - eta for b in l]
     hi = [b + eta for b in r]
     rows = [[0.0] * ma] * n if noise is None else noise.tolist()
-    work = (np.empty(2 * n), np.empty(n, dtype=bool))
+    # scratch for ``_free_run``, as long as a stretch across the longest
+    # cluster: buffers as long as the segment, allocated again on every
+    # call, fragment the heap, and the peak RSS of repeated runs creeps up
+    span = int(max(b - a for a, b in zip(l, r)) / dt) + 33
+    work = (np.empty(2 * span), np.empty(span, dtype=bool))
     until = [0] * ma  # first step after robot i's stretch
     cut = [-1] * ma  # step of robot i that ended its last stretch
     # start-of-step boundary flags (-eta <= x - b <= eta is abs(x - b) <= eta);
@@ -347,12 +352,16 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
                     and lo[i] <= x <= hi[i]
                 ):
                     # free flight: a stretch to about the far boundary, with
-                    # 32 steps to spare for noise (a shorter one just ends
-                    # free, and the next step starts another)
-                    w = n - k
+                    # 32 steps to spare for noise (one that ends free, at
+                    # the segment end or the scratch's end, is followed by
+                    # another)
+                    w = min(n - k, span)
                     reach = (ri - x if d > 0 else x - li) / dt
                     if reach + 32.0 < w:
                         w = int(reach) + 32
+                    # rows of ``col`` past the stretch are scratch until the
+                    # robot's later steps write them, in this segment or,
+                    # after a detection, in the next
                     col = out_pos[step : row + w, cols[i]]
                     c = _free_run(
                         x, u, None if noise is None else noise[k : k + w, i],

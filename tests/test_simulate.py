@@ -178,14 +178,14 @@ class TestBasics:
         with pytest.raises(ValueError, match="outside the trace"):
             evaluate_trace(trace, warmup=warmup)
 
-
     def test_partition_of_another_chain_is_rejected(self):
         # the same viewpoint count twice as far apart: before this check the
         # robots swept the partition's chain, out to 58 on a chain ending at
         # 29, and evaluation reported an infinite refresh time as converged
         chain = case_study_chain(30)
         part, _ = optimal_partition_bisect(case_study_chain(30, 2.0), 10, 1e-9)
-        with pytest.raises(ValueError, match="30 viewpoints ending at 58.0.*30 viewpoints ending at 29.0"):
+        match = "30 viewpoints ending at 58.0, not .* 30 viewpoints ending at 29.0"
+        with pytest.raises(ValueError, match=match):
             simulate(chain, part, SimConfig(dt=DT, horizon=10.0, seed=0))
 
     def test_partition_of_an_equal_chain_is_accepted(self):
@@ -194,6 +194,28 @@ class TestBasics:
         assert np.array_equal(
             trace.positions, simulate(chain, part, SimConfig(dt=DT, horizon=60.0, seed=9)).positions
         )
+
+
+def _stepped(x, u, noise, dt, li, ri, eta):
+    """The kernel's integration of a free robot, one step at a time, up to
+    the first position that a snap or a boundary flag would act on."""
+    path = []
+    for n in noise:
+        x = x + (u + n) * dt
+        if x >= ri or x <= li or -eta <= x - li <= eta or -eta <= x - ri <= eta:
+            break
+        path.append(x)
+    return path
+
+
+def _flown(x, u, noise, dt, li, ri, eta):
+    """``_free_run``'s path over all of ``noise``, passed as None, the
+    kernel's form of zero noise, when it is all zeros."""
+    out = np.empty(len(noise) + 1)
+    work = (np.empty(2 * len(noise)), np.empty(len(noise), bool))
+    c = _free_run(x, u, noise if noise.any() else None, dt, li, ri, eta, out, work)
+    assert out[0] == x
+    return out[1 : c + 1].tolist()
 
 
 class TestFreeFlight:
@@ -207,31 +229,35 @@ class TestFreeFlight:
         eta = data.draw(st.sampled_from([0.0, 1e-6]), label="eta")
         dt = data.draw(st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]), label="dt")
         u = data.draw(st.sampled_from([1.0, -1.0]), label="u")
-        # start a few steps from either boundary, on it, or anywhere between
+        # start within a few steps of the boundary behind the robot or ahead
+        # of it, on a boundary, or halfway
         near = data.draw(st.floats(-1e-6, 4 * dt), label="offset")
-        x = data.draw(
-            st.sampled_from([li + near, ri - near, li, ri, (li + ri) / 2.0]), label="x"
-        )
+        rear, front = (li + near, ri - near) if u > 0 else (ri - near, li + near)
+        x = data.draw(st.sampled_from([rear, front, li, ri, (li + ri) / 2.0]), label="x")
+        # sigma 0.71 makes u + n < 0 in about one step in twelve
         sigma = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.71]), label="sigma")
         steps = data.draw(st.integers(1, 1500), label="steps")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        noise = np.random.default_rng(seed).normal(0.0, sigma, steps) if sigma else None
+        noise = np.random.default_rng(seed).normal(0.0, sigma, steps)
+        assert _flown(x, u, noise, dt, li, ri, eta) == _stepped(
+            x, u, noise.tolist(), dt, li, ri, eta
+        )
 
-        out = np.empty(steps + 1)
-        work = (np.empty(2 * steps), np.empty(steps, bool))
-        c = _free_run(x, u, noise, dt, li, ri, eta, out, work)
-
-        # the kernel's integration and the predicates that end free flight:
-        # a snap onto a boundary, or a boundary flag up for the next step
-        expected, p = [], x
-        for n in [0.0] * steps if noise is None else noise.tolist():
-            p = p + (u + n) * dt
-            if p >= ri or p <= li or -eta <= p - li <= eta or -eta <= p - ri <= eta:
-                break
-            expected.append(p)
-        assert out[0] == x
-        assert out[1 : c + 1].tolist() == expected
-        assert c == len(expected)
+    @pytest.mark.parametrize("eta", [0.0, 1e-6])
+    @pytest.mark.parametrize("u", [1.0, -1.0])
+    def test_stretch_ends_at_either_boundary(self, u, eta):
+        # a step forward, then noise turns the robot back past the boundary
+        # it left; and a plain run to the boundary ahead
+        dt, li, ri = 1.0 / 32.0, 2.0, 5.0
+        rear = li + dt / 2 if u > 0 else ri - dt / 2
+        back = np.array([0.0, -2.0 * u, -2.0 * u, 0.0])
+        path = _flown(rear, u, back, dt, li, ri, eta)
+        assert path == _stepped(rear, u, back.tolist(), dt, li, ri, eta)
+        assert path == [rear + dt * u, rear]
+        ahead = np.zeros(200)
+        path = _flown(rear, u, ahead, dt, li, ri, eta)
+        assert path == _stepped(rear, u, ahead.tolist(), dt, li, ri, eta)
+        assert len(path) == 95 and abs(path[-1] - (ri if u > 0 else li)) == dt / 2
 
 
 class TestConvergence:
