@@ -272,22 +272,22 @@ def _general_chain(c: int) -> ChainRoadmap:
 
 
 @pytest.fixture(scope="module")
-def case_study():
+def instance():
     chains = {0: case_study_chain(30), 1: _general_chain(1), 2: _general_chain(2)}
     parts = {}
 
-    def instance(name):
+    def chain_and_partition(name):
         key = (int(name[1]) if name[0] == "g" else 0, ROBOTS.get(name, 10))
         if key not in parts:
             parts[key] = optimal_partition_bisect(chains[key[0]], key[1], 1e-9)[0]
         return chains[key[0]], parts[key]
 
-    return instance
+    return chain_and_partition
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_trace_matches_golden_digest(case_study, name):
-    chain, part = case_study(name)
+def test_trace_matches_golden_digest(instance, name):
+    chain, part = instance(name)
     trace = simulate(chain, part, CONFIGS[name])
     got = (
         _sha(trace.positions.tobytes()),
@@ -298,8 +298,8 @@ def test_trace_matches_golden_digest(case_study, name):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_trace_metrics_match_golden_values(case_study, name):
-    chain, part = case_study(name)
+def test_trace_metrics_match_golden_values(instance, name):
+    chain, part = instance(name)
     tm = evaluate_trace(simulate(chain, part, CONFIGS[name]))
     got = (tm.refresh, tm.latency_up, tm.latency_down, tm.latency, tm.warmup, tm.converged)
     assert got == METRICS[name]
