@@ -175,6 +175,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if math.isnan(args.eta) or args.eta < 0:
+        raise ValueError(f"meeting tolerance eta must be nonnegative, got {args.eta!r}")
     chain = _load_chain(args.roadmap, _strict(args))
     bounds = None
     part = None
@@ -195,11 +197,11 @@ def _cmd_eval(args) -> int:
         events = _read_events(args.trace)
         if events is None:
             # no event column (synth --trace): detect the meetings from positions
-            phis = comm_instants_from_trace(times, positions, chain)
+            phis = comm_instants_from_trace(times, positions, chain, args.eta)
             events = {(q, q + 1): phi for q, phi in enumerate(phis) if phi}, []
         comm, detects = events
         tm = evaluate_samples(
-            times, positions, chain, comm, detects, part, args.warmup, strict=args.strict
+            times, positions, chain, comm, detects, part, args.warmup, args.eta, args.strict
         )
         rt = tm.refresh
         lat = None
@@ -478,6 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
         "its detected convergence at the period of -m, else its second half)",
     )
     p.add_argument("--strict", action="store_true", help="raw boundary-inclusive refresh time")
+    p.add_argument(
+        "--eta", type=float, default=1e-6,
+        help="a trace's meeting and visit tolerance: the simulate --eta it was run with",
+    )
     p.add_argument("--out", required=True)
 
     p = add("sweep", _cmd_sweep, help="noise sweep with per-variance statistics")

@@ -40,7 +40,20 @@ right, so each is the same IEEE result as the step's ``x + (u + n) * dt``.
 The stretch ends before the first position that a snap or a boundary flag
 would act on, and the kernel takes that step in the usual way.  Its flags
 stay False throughout, so no neighbor and no meeting sees a difference.
-When every live robot is mid-stretch, the team jumps to the earliest end.
+
+A robot holding at a boundary for its neighbor, or waiting out its phase
+timer there, is the other common case, and it is advanced a stretch of
+steps at once as well: a station-keeping stretch.  It starts at the
+robot's pass in a step when it holds (direction 0) at its left or right
+boundary, its timer did not fire within the step, it is not at its other
+boundary, and the neighbor across the held boundary is mid-stretch.  That
+neighbor's flag toward the robot then stays False, so no meeting involves
+the robot and its own boundary rule only holds it where it is.  The
+stretch runs the step's own arithmetic one step at a time, with no pass
+over the team, up to the neighbor's stretch end at most, and stops before
+the step whose timer fires and before a position at the other boundary.
+A failed robot counts as mid-stretch for the whole segment.  When every
+live robot is mid-stretch, the team jumps to the earliest end.
 Positions and directions are written straight into the trace's arrays,
 a stretch as one column slice.
 
@@ -112,9 +125,22 @@ class SimConfig:
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer number of steps")
+        # a window from the horizon on would log nothing, and two windows
+        # of one robot that overlap or touch would log a resume while it
+        # stays down
         for fw in self.failures:
-            if not 0 <= fw.start <= self.horizon:
-                raise ValueError("failure window outside horizon")
+            if not 0 <= fw.start < self.horizon:
+                raise ValueError(
+                    f"failure window of robot {fw.robot} must start in [0, {self.horizon}), "
+                    f"got {fw.start}"
+                )
+        windows = sorted(self.failures, key=lambda fw: (fw.robot, fw.start))
+        for a, b in zip(windows, windows[1:]):
+            if a.robot == b.robot and b.start <= a.end:
+                raise ValueError(
+                    f"failure windows of robot {a.robot} overlap or touch: "
+                    f"[{a.start}, {a.end}) and [{b.start}, {b.end}); give it one window"
+                )
 
     @property
     def steps(self) -> int:
@@ -184,6 +210,45 @@ def _free_run(x, u, noise, dt, li, ri, eta, out, work) -> int:
     return c if near[c] else w
 
 
+def _station_keep(x, h, ti, noise, dt, li, ri, eta, far) -> tuple[list[float], float]:
+    """Hold a robot at its boundary ``h`` of cluster [li, ri] from ``x`` in
+    ``[li - eta, ri + eta]`` for up to ``len(noise)`` steps.
+
+    ``ti`` is its timer as the kernel holds it after the first step's
+    countdown, negative when it is not running.  Each step counts the
+    timer down as the kernel does, ``ti - dt``, then moves to
+    ``x + (u + n) * dt`` with ``u = (h - x) / dt`` clipped to ±1 and snaps
+    onto ``li`` or ``ri``: the kernel's own IEEE operations in its order.
+    Returns the positions after each step and the timer after the last.
+    Stops before the step whose timer fires and before a position whose
+    flag at ``far``, the other boundary, would be up; every position lies in
+    [li, ri].
+    """
+    path = []
+    for n in noise:
+        t = ti
+        if path and t >= 0.0:
+            if t < dt:
+                break
+            t = t - dt
+        u = (h - x) / dt
+        if u > 1.0:
+            u = 1.0
+        elif u < -1.0:
+            u = -1.0
+        y = x + (u + n) * dt
+        if y >= ri:
+            y = ri
+        elif y <= li:
+            y = li
+        if -eta <= y - far <= eta:
+            break
+        x = y
+        ti = t
+        path.append(y)
+    return path, ti
+
+
 def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_from):
     """Advance the team from global step ``k0`` for up to ``k1 - k0`` steps.
 
@@ -193,7 +258,9 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
     into rows ``k0 + 1..`` of ``out_pos``/``out_dir`` at the columns
     ``st.robot_ids`` of the live robots, and appends each meeting as
     ``(step, pair)`` to ``comm``.  Returns the number of steps taken and
-    the pair whose communication timeout fired (-1 when none did).
+    the pair whose communication timeout fired (-1 when none did).  The
+    noise of a step is converted to floats when the loop visits it, and a
+    station-keeping stretch's as one slice.
 
     A robot in free flight is advanced a stretch of steps at once (see the
     module docstring).  It starts one at its pass in a step when its timer
@@ -211,6 +278,22 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
     step whose communication timeout fires (the pair that last met earliest
     times out first), which is then taken in the usual way.  A timeout cuts
     the stretches that run past it back to its step.
+
+    A robot that holds at its boundary with a neighbor across it is
+    station-kept a stretch of steps at once when, at its pass, its timer
+    did not fire within the step, its flag at the other boundary is down
+    and it is not at the step that cut its last stretch short.  The
+    neighbor across the held boundary must be mid-stretch, past the next
+    step: a free flier's flags are False, a station keeper's flag at its
+    other boundary is False, and a neighbor can only be station-kept
+    toward this robot up to this robot's own stretch end, so the two never
+    wait on each other in stretches.  A failed robot's flags are False too,
+    and it counts as mid-stretch to the segment end.  ``_station_keep``
+    then runs the robot's steps up to the neighbor's stretch end, counting
+    a running timer down as the step does, and stops before the step whose
+    timer fires and before a position whose other flag is up.  The robot's
+    flags after the stretch go into both flag lists: its other flag is
+    False in both, and its held one changes nothing for anyone in between.
     """
     pos, dirv, hold, timer, pend = st.pos, st.dir, st.hold, st.timer, st.pend
     a_time, nmeet, latch, last_comm = st.a_time, st.nmeet, st.latch, st.last_comm
@@ -222,13 +305,15 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
     live = [i for i in range(ma) if not failed[i]]
     lo = [b - eta for b in l]
     hi = [b + eta for b in r]
-    rows = [[0.0] * ma] * n if noise is None else noise.tolist()
+    zeros = [0.0] * ma
     # scratch for ``_free_run``, as long as a stretch across the longest
     # cluster: buffers as long as the segment, allocated again on every
     # call, fragment the heap, and the peak RSS of repeated runs creeps up
     span = int(max(b - a for a, b in zip(l, r)) / dt) + 33
     work = (np.empty(2 * span), np.empty(span, dtype=bool))
-    until = [0] * ma  # first step after robot i's stretch
+    # first step after robot i's stretch; a failed robot takes no step in
+    # the segment and its flags stay False, as if it were mid-stretch
+    until = [n if f else 0 for f in failed]
     cut = [-1] * ma  # step of robot i that ended its last stretch
     # start-of-step boundary flags (-eta <= x - b <= eta is abs(x - b) <= eta);
     # a failed robot is at neither of its boundaries, so its flags stay
@@ -248,7 +333,7 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
         step = k0 + k
         t = step * dt
         row = step + 1
-        vel_noise = rows[k]
+        vel_noise = zeros if noise is None else noise[k].tolist()
         # pair meetings: latch once per joint dwell at the shared boundary
         for p in pairs:
             if not (at_r[p] and at_l[p + 1]):
@@ -382,6 +467,42 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
                 if h != h:  # NaN: nothing to station-keep toward
                     u = 0.0
                 else:
+                    if step_dt == dt and cut[i] != k and lo[i] <= x <= hi[i]:
+                        # station keeping: while the neighbor across the
+                        # held boundary is mid-stretch its flags stay False,
+                        # so no meeting and no boundary rule changes this
+                        # robot until it ends, its timer fires or the robot
+                        # nears its other boundary (a hold is li or ri, at
+                        # a boundary with a neighbor across it)
+                        if h == li:
+                            nb, far, clear = i - 1, ri, not at_r[i]
+                        else:
+                            nb, far, clear = i + 1, li, not at_l[i]
+                        e = until[nb]
+                        if clear and e > k + 1:
+                            w = e - k
+                            path, ti = _station_keep(
+                                x, h, ti, [0.0] * w if noise is None
+                                else noise[k:e, i].tolist(), dt, li, ri, eta, far,
+                            )
+                            c = len(path)
+                            if c:
+                                timer[i] = ti
+                                e = until[i] = k + c
+                                # a stop before a firing timer is no cut: a
+                                # robot moving again may start a free flight
+                                if c < w and not 0.0 <= ti < dt:
+                                    cut[i] = e
+                                if e < wake:
+                                    wake = e
+                                x = pos[i] = path[-1]
+                                out_pos[row : row + c, cols[i]] = path
+                                out_dir[row : row + c, cols[i]] = 0
+                                # the far flag is False in both lists; the
+                                # near one is read again only at step e
+                                nx_l[i] = at_l[i] = -eta <= x - li <= eta
+                                nx_r[i] = at_r[i] = -eta <= x - ri <= eta
+                                continue
                     u = (h - x) / dt
                     if u > 1.0:
                         u = 1.0
@@ -433,7 +554,9 @@ def _step_kernel(st, k0, k1, dt, noise, out_pos, out_dir, comm, theta, detect_fr
                         wake = s
                         break
         k = wake
-    # a detection cuts short the stretches that run past it
+    # a detection cuts short the stretches that run past it; a station
+    # keeper's timer stays counted down past it, as nothing reads it: the
+    # repartition that follows a detection builds a new team state
     if done < n:
         for i in live:
             if until[i] > done:

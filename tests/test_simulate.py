@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from patrolsim.simulate import (
     FailureWindow,
     SimConfig,
     _free_run,
+    _station_keep,
     case_study_chain,
     convergence_time,
     evaluate_trace,
@@ -128,13 +130,33 @@ class TestBasics:
             # the window test misses, so the robot would not stop (or resume)
             (FailureWindow(3, 5.01, 10.0), r"robot 3 must start on a step .*got 5\.01"),
             (FailureWindow(3, 5.0, 10.01), r"robot 3 must end on a step .*got 10\.01"),
+            # the event log would report a resume at 10 while robot 3 stays
+            # down until 15, or nothing at all
+            (
+                (FailureWindow(3, 5.0, 10.0), FailureWindow(3, 8.0, 15.0)),
+                r"robot 3 overlap or touch: \[5\.0, 10\.0\) and \[8\.0, 15\.0\)",
+            ),
+            (
+                (FailureWindow(3, 10.0, 15.0), FailureWindow(3, 5.0, 10.0)),
+                r"robot 3 overlap or touch: \[5\.0, 10\.0\) and \[10\.0, 15\.0\)",
+            ),
+            (FailureWindow(3, 20.0, 30.0), r"robot 3 must start in \[0, 20\.0\), got 20\.0"),
         ],
     )
     def test_bad_failure_window_rejected(self, window, match):
         chain, part = uniform_case()
-        cfg = SimConfig(dt=DT, horizon=20.0, seed=0, failures=(window,))
+        windows = window if isinstance(window, tuple) else (window,)
         with pytest.raises(ValueError, match=match):
-            simulate(chain, part, cfg)
+            simulate(chain, part, SimConfig(dt=DT, horizon=20.0, seed=0, failures=windows))
+
+    def test_windows_of_different_robots_may_overlap(self):
+        chain, part = uniform_case()
+        windows = (FailureWindow(3, 5.0, 10.0), FailureWindow(4, 8.0, 15.0))
+        trace = simulate(chain, part, SimConfig(dt=DT, horizon=20.0, seed=0, failures=windows))
+        assert [e for e in trace.events if e[1] in ("fail", "resume")] == [
+            (5.0, "fail", 3, -1), (8.0, "fail", 4, -1), (10.0, "resume", 3, -1),
+            (15.0, "resume", 4, -1),
+        ]
 
     def test_every_meeting_is_logged(self):
         # a pair meets on each rising edge of "left robot at its right end
@@ -258,6 +280,85 @@ class TestFreeFlight:
         path = _flown(rear, u, ahead, dt, li, ri, eta)
         assert path == _stepped(rear, u, ahead.tolist(), dt, li, ri, eta)
         assert len(path) == 95 and abs(path[-1] - (ri if u > 0 else li)) == dt / 2
+
+
+def _held(x, h, ti, noise, dt, li, ri, eta):
+    """The kernel's steps of a robot holding at ``h``, its timer at ``ti``
+    after the first step's countdown, one step at a time: up to the step
+    whose timer fires or the first position whose flag at the other
+    boundary is up.  Returns the positions and the timer after the last."""
+    far = ri if h == li else li
+    path = []
+    for n in noise:
+        t = ti
+        if path and t >= 0.0:  # the countdown before each later step
+            if t < dt:
+                break
+            t = t - dt
+        assert li - eta <= x <= ri + eta  # the step snaps onto li and ri
+        u = max(-1.0, min(1.0, (h - x) / dt))
+        y = x + (u + n) * dt
+        if y >= ri:
+            y = ri
+        elif y <= li:
+            y = li
+        if -eta <= y - far <= eta:
+            break
+        x, ti = y, t
+        path.append(y)
+    return path, ti
+
+
+class TestStationKeeping:
+    """``_station_keep`` against the per-step loop it stands in for."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_stretch_equals_the_step_loop(self, data):
+        li = data.draw(st.floats(-40.0, 40.0), label="li")
+        ri = li + data.draw(st.floats(0.1, 12.0), label="length")
+        eta = data.draw(st.sampled_from([0.0, 1e-6]), label="eta")
+        dt = data.draw(st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]), label="dt")
+        h = data.draw(st.sampled_from([li, ri]), label="hold")
+        # on the boundary, or off it by up to a step inward or eta outward
+        off = data.draw(st.sampled_from([0.0, -eta, dt]) | st.floats(-eta, dt), label="off")
+        x = li + off if h == li else ri - off
+        sigma = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.71]), label="sigma")
+        steps = data.draw(st.integers(1, 400), label="steps")
+        # no timer, or one that fires inside the stretch, at its end or
+        # after it, on a step or between two
+        fires = data.draw(st.integers(0, steps + 2), label="fires")
+        frac = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), label="frac")
+        ti = data.draw(st.sampled_from([-1.0, (fires + frac) * dt]), label="timer")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        noise = np.random.default_rng(seed).normal(0.0, sigma, steps).tolist()
+        far = ri if h == li else li
+        assert _station_keep(x, h, ti, noise, dt, li, ri, eta, far) == _held(
+            x, h, ti, noise, dt, li, ri, eta
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("fires, length", [(3, 4), (9, 10), (12, 10), (None, 10)])
+    def test_timer_ends_the_stretch(self, side, fires, length):
+        # a timer at 3 steps fires at the fifth step: the stretch stops
+        # before it, inside the ten steps, at their end or not at all
+        dt, li, ri = 1.0 / 32.0, 2.0, 5.0
+        h = li if side == "left" else ri
+        ti = -1.0 if fires is None else fires * dt
+        path, left = _station_keep(h, h, ti, [0.0] * 10, dt, li, ri, 1e-6, li + ri - h)
+        assert path == [h] * length
+        assert left == (-1.0 if fires is None else (fires - length + 1) * dt)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_stretch_stops_before_the_far_boundary(self, side):
+        # a cluster four steps long: a noise burst toward the far boundary
+        # snaps onto it in the third step
+        dt, li, ri = 1.0 / 32.0, 2.0, 2.125
+        h, toward = (li, 1.0) if side == "left" else (ri, -1.0)
+        noise = [0.0, 2.0 * toward, 4.0 * toward, 0.0]
+        path, _ = _station_keep(h, h, -1.0, noise, dt, li, ri, 1e-6, li + ri - h)
+        assert path == _held(h, h, -1.0, noise, dt, li, ri, 1e-6)[0]
+        assert len(path) == 2 and path[0] == h and path[1] == h + 2.0 * toward * dt
 
 
 class TestConvergence:
@@ -390,6 +491,31 @@ class TestFailures:
         while not (s * DT + DT) - base > theta:
             s += 1
         assert trace.detect_time == (s + 1) * DT
+
+    @pytest.mark.parametrize(
+        "seed, sigma2, detect, digest",
+        [
+            (4, 0.2, 86.34375, "c38c99015a1ea46782d5ec96bfb8aa3fa401d5249c8db090d7bd8417602f166c"),
+            (2, 0.0, 88.96875, "b665ac2551c4f6d35189346da908a142c5259d683bac85b1f7fce52e2e57863f"),
+        ],
+    )
+    def test_detection_during_a_timer_wait(self, seed, sigma2, detect, digest):
+        # robot 5 fails for good on the default_rng(1) chain of 40
+        # viewpoints; the timeout of pair (5, 6) fires while robot 0 waits
+        # out its phase timer in a station-keeping stretch that runs past
+        # the detection.  The digests of positions, directions and events
+        # were recorded before the kernel took such stretches
+        gaps = np.random.default_rng(1).uniform(0.3, 2.0, 39)
+        chain = ChainRoadmap([0.0] + np.cumsum(gaps).tolist())
+        part, _ = optimal_partition_bisect(chain, 8, 1e-9)
+        cfg = SimConfig(
+            dt=DT, horizon=160.0, seed=seed, sigma2=sigma2,
+            failures=(FailureWindow(5, 80.0),), detection_theta=15.0, detection_arm_time=60.0,
+        )
+        trace = simulate(chain, part, cfg)
+        assert [e for e in trace.events if e[1] == "detect"] == [(detect, "detect", 5, 6)]
+        data = trace.positions.tobytes() + trace.dirs.tobytes() + repr(trace.events).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_permanent_failure_detection_and_repartition(self):
         chain, part = uniform_case()

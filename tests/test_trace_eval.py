@@ -214,6 +214,39 @@ def test_bad_comm_tag_is_rejected(tmp_path, chains, capsys):
     assert f"{csv}: bad comm tag in row '0.0,0,0.0,1,comm:x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta, default_refresh", [(1e-3, 8.59375), (1e-2, 17.0)])
+def test_eval_takes_the_meeting_tolerance_of_simulate(tmp_path, chains, eta, default_refresh):
+    # a noisy run at a coarser eta: with it, eval --trace reads what
+    # evaluate_trace reads; at the default 1e-6 a robot station-keeping
+    # within eta of a viewpoint does not count as there
+    chain, roadmap = chains["case"]
+    csv = tmp_path / "trace.csv"
+    assert dispatch(
+        ["simulate", "--roadmap", str(roadmap), "-m", "10", "--horizon", "140", "--seed", "1",
+         "--sigma2", "0.2", "--eta", repr(eta), "--out", str(csv)]
+    ) == 0
+    part, _ = optimal_partition_bisect(chain, 10, 1e-9)
+    cfg = SimConfig(dt=DT, horizon=140.0, seed=1, sigma2=0.2, eta=eta)
+    tm = evaluate_trace(simulate(chain, part, cfg))
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--roadmap", str(roadmap), "--trace", str(csv), "-m", "10", "--out", str(out)]
+    assert dispatch(argv + ["--eta", repr(eta)]) == 0
+    doc = json.loads(out.read_text())
+    assert rt_lt(doc) == (tm.refresh, tm.latency_up, tm.latency_down, tm.latency)
+    assert doc["window"] == {"warmup": tm.warmup, "source": "fallback"}
+    assert dispatch(argv) == 0
+    assert rt_lt(json.loads(out.read_text()))[0] == default_refresh != tm.refresh
+
+
+@pytest.mark.parametrize("eta", ["-1e-6", "nan"])
+def test_eval_rejects_a_bad_meeting_tolerance(tmp_path, traces, eta, capsys):
+    _, csv, roadmap = traces("c5_seed0")
+    rc = dispatch(["eval", "--roadmap", str(roadmap), "--trace", str(csv), f"--eta={eta}",
+                   "--out", str(tmp_path / "eval.json")])
+    assert rc == 1
+    assert "eta must be nonnegative" in capsys.readouterr().err
+
+
 def test_general_chain_falls_back_to_the_trailing_half():
     chain = item1_chain()
     part, _ = optimal_partition_bisect(chain, 8, 1e-9)
