@@ -7,7 +7,10 @@ refresh time achieved this way is within a factor of (n-2)/n * 8 * gamma
 of optimal, where gamma is the longest-to-shortest edge ratio.  The second
 covers the vertices with at most m paths on the metric closure, minimizing
 the longest path by binary search over candidate budgets, and sweeps one
-robot per path; its refresh time is within a constant factor 8 of optimal.
+robot per path, for a refresh time of twice the longest path's cost.  That
+cost is within a factor 4 of the optimal cover's on every instance checked
+against the exact oracle, which runs only for n <= 8 and m <= 3 (acceptance
+criterion 10); the factor is not proved.
 Both routes walk trees with ``tree._closed_walk``, and a robot sweeping its
 path back and forth rides the closed walk of that path as a tree tour.
 A brute-force minimum path cover is included as the verification oracle
@@ -243,7 +246,8 @@ def _split_cover(dist, mst_edges, budget: float, split_factor: float):
 
 
 def minmax_path_cover(g: Roadmap, m: int) -> PathCover:
-    """Heuristic min-max path cover with an empirically enforced 4-factor.
+    """Heuristic min-max path cover, checked within a factor 4 of optimal
+    only against the exact oracle (n <= 8, m <= 3); the factor is not proved.
 
     Binary search over candidate budgets (all pairwise distances and their
     doublings): a budget is feasible when the thresholded closure MST

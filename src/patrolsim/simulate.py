@@ -6,8 +6,11 @@ until the neighbor shows up at the adjacent viewpoint, and on a meeting
 either hand the motion token to the neighbor (robots inside one aggregated
 group alternate single-mover turns) or arm a phase timer (robots at group
 extremes wait out the slack so inter-group meetings settle into a fixed
-cadence).  The team provably synchronizes onto the optimal sweep pattern
-after a finite transient.
+cadence).  Measured, not proved: without noise, the refresh time came
+within ``2 * dt`` of ``2 * d_max`` on all 167 random chains probed, and the
+latency equals its lower bound on the case study and on chains of two
+aggregated groups, but stays above it on every probed chain with three or
+more.
 
 The stepper is one plain-Python kernel over Python lists: scalar reads
 and writes on lists cost a fraction of the same operations on numpy
@@ -60,6 +63,12 @@ a stretch as one column slice.
 Failures: a failed robot freezes in place and stops communicating.
 Permanent failures are detected by per-pair communication timeouts, after
 which the survivors repartition the chain among themselves and resume.
+The windows' starts and ends form one step-ordered list of status changes
+that drives a table of which robots are down.  There is one detection per
+run; fail and resume are logged only for team robots, not for parked or
+dead ones; and a robot down at the detection step, changes due then
+included, is declared dead and stands where it stopped for the rest of the
+run.
 """
 
 from __future__ import annotations
@@ -98,7 +107,6 @@ class SimConfig:
     failures: tuple[FailureWindow, ...] = ()
     detection_theta: float | None = None
     detection_arm_time: float = 0.0
-    repartition_eps: float = 1e-9
     eta: float = 1e-6
 
     def __post_init__(self):
@@ -171,6 +179,10 @@ class Trace:
             tags[key] = f"{tags[key]}|{tag}" if key in tags else tag
         write_trace_rows(path, self.times, self.positions, self.dirs, tags)
 
+
+# the survivors' partition is bisected to this tolerance, the default of
+# every ``--eps`` flag
+_REPARTITION_EPS = 1e-9
 
 _SPEED = (0.0, 1.0, -1.0)  # float(d) for a direction d in {0, 1, -1}
 
@@ -568,26 +580,26 @@ class _TeamState:
     """Kernel state of the currently active robots as Python lists.
 
     Entry ``i`` belongs to robot ``robot_ids[i]``; pair ``p`` is the
-    neighbors ``i = p`` and ``j = p + 1``.
+    neighbors ``i = p`` and ``j = p + 1``; robots past the active clusters
+    park.  The team starts at time ``t0`` from positions ``pos`` and
+    directions ``dirs`` in team order.
     """
 
-    def __init__(self, partition: Partition, robot_ids, rng, eta):
+    def __init__(self, partition: Partition, robot_ids, pos, dirs, t0, eta):
         active = partition.active
-        self.robot_ids = list(robot_ids[: len(active)])
-        self.parked_ids = list(robot_ids[len(active) :])
+        ma = len(active)
+        self.robot_ids = list(robot_ids[:ma])
+        self.parked_ids = list(robot_ids[ma:])
         self.park = partition.parking_coordinate()
-        bounds = [(partition.left(i), partition.right(i)) for i in active]
-        lengths = [r - l for l, r in bounds]
-        if any(d <= 0 for d in lengths):
+        self.l = [partition.left(i) for i in active]
+        self.r = [partition.right(i) for i in active]
+        if any(r <= l for l, r in zip(self.l, self.r)):
             raise InfeasibleError(
                 "zero-length clusters are not simulable: a stationary robot "
                 "permanently co-located with its neighbor deadlocks the "
                 "meeting latch; use the open-loop trajectories instead"
             )
         agg = aggregate_clusters(partition)
-        ma = len(active)
-        self.l = [b[0] for b in bounds]
-        self.r = [b[1] for b in bounds]
         self.left_ext = [False] * ma
         self.right_ext = [False] * ma
         self.delta = [0.0] * ma
@@ -596,20 +608,16 @@ class _TeamState:
             self.right_ext[g[-1]] = True
             for i in g:
                 self.delta[i] = float(agg.d_max - total) / 2.0
-        if rng is not None:
-            self.pos = rng.uniform(self.l, self.r).tolist()
-            self.dir = (rng.integers(0, 2, ma) * 2 - 1).tolist()
-        else:
-            self.pos = None
-            self.dir = None
+        self.pos = list(pos[:ma])
+        self.dir = list(dirs[:ma])
         self.hold = [math.nan] * ma
         self.timer = [-1.0] * ma
         self.pend = [0] * ma
-        self.a_time = [0.0] * ma
+        self.a_time = [t0] * ma
         npairs = max(0, ma - 1)
         self.nmeet = [0] * npairs
         self.latch = [False] * npairs
-        self.last_comm = [0.0] * npairs
+        self.last_comm = [t0] * npairs
         self.failed = [False] * ma
         self.eta = eta
 
@@ -658,7 +666,10 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     rng = np.random.default_rng(cfg.seed)
     m = partition.m
     steps = cfg.steps
-    state = _TeamState(partition, list(range(m)), rng, cfg.eta)
+    active = partition.active
+    pos = rng.uniform([partition.left(i) for i in active], [partition.right(i) for i in active])
+    dirs = rng.integers(0, 2, len(active)) * 2 - 1
+    state = _TeamState(partition, range(m), pos.tolist(), dirs.tolist(), 0.0, cfg.eta)
 
     # noise rows are indexed by global step, columns by original robot id,
     # so segmentation and repartition never change which draw a robot sees;
@@ -681,95 +692,50 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
     detect_time: float | None = None
     new_partition: Partition | None = None
 
-    # failure windows as (robot, first step down, first step up again);
-    # _validate put their ends on the step grid
-    downs = [
-        (
-            fw.robot,
-            int(round(fw.start / cfg.dt)),
-            int(round(fw.end / cfg.dt)) if math.isfinite(fw.end) else math.inf,
-        )
+    # robot status: ``down`` by robot id, driven by the windows' status
+    # changes as (step, kind, robot) in step order, read with a cursor;
+    # _validate put them on the step grid
+    changes = sorted(
+        (round(t / cfg.dt), kind, fw.robot)
         for fw in cfg.failures
-    ]
-    toggles = sorted(
-        {steps}
-        | {k_down for _, k_down, _ in downs}
-        | {k_up for _, _, k_up in downs if k_up <= steps}
+        for kind, t in (("fail", fw.start), ("resume", fw.end))
+        if math.isfinite(t)
     )
+    down = [False] * m
+    cursor = 0
 
     theta = cfg.detection_theta if cfg.detection_theta is not None else -1.0
-    detect_from = cfg.detection_arm_time
-
-    def run_segment(st: _TeamState, k0: int, k1: int) -> tuple[int, int]:
-        cols = st.robot_ids
-        comm: list[tuple[int, int]] = []
-        done, pair = _step_kernel(
-            st, k0, k1, cfg.dt, None if lanes is None else lanes[k0:k1],
-            out_pos, out_dir, comm, theta, detect_from,
-        )
-        rows = slice(k0 + 1, k0 + done + 1)
-        for i, f in enumerate(st.failed):
-            if f:  # failed robots stand still
-                out_pos[rows, cols[i]] = st.pos[i]
-                out_dir[rows, cols[i]] = 0
-        events.extend((step * cfg.dt, "comm", cols[p], cols[p + 1]) for step, p in comm)
-        return done, pair
-
-    k = 0
-    while k < steps:
-        k_next = steps
-        for tg in toggles:
-            if tg > k:
-                k_next = tg
-                break
-        t_now = k * cfg.dt
-        failed = [False] * len(state.robot_ids)
-        for rid, k_down, k_up in downs:
-            if rid not in state.robot_ids:
-                continue
-            if k_down == k:
-                events.append((t_now, "fail", rid, -1))
-            if k_up == k:
-                events.append((t_now, "resume", rid, -1))
-            if k_down <= k < k_up:
-                failed[state.robot_ids.index(rid)] = True
-        state.failed = failed
-        done, pair = run_segment(state, k, k_next)
-        k += done
+    k, pair = 0, -1
+    while True:
+        due = []
+        while cursor < len(changes) and changes[cursor][0] <= k:
+            _, kind, rid = changes[cursor]
+            down[rid] = kind == "fail"
+            due.append((kind, rid))
+            cursor += 1
+        team = state.robot_ids
         if pair >= 0:
-            # a neighbor timed out: declare the failure, repartition among
-            # the survivors (previously parked robots rejoin at the tail),
-            # and resume the law on the new clusters
+            # a neighbor timed out at step k: robots down then are dead; the
+            # others (parked ones at the tail) repartition and resume
             detect_time = k * cfg.dt
-            cols = state.robot_ids
-            events.append((detect_time, "detect", cols[pair], cols[pair + 1]))
-            alive = lambda rid: not any(
-                down == rid and k_down <= k < k_up for down, k_down, k_up in downs
-            )
-            survivors = [rid for rid in cols if alive(rid)]
-            survivors += [rid for rid in state.parked_ids if alive(rid)]
+            events.append((detect_time, "detect", team[pair], team[pair + 1]))
+            survivors = [rid for rid in team + state.parked_ids if not down[rid]]
             if not survivors:
                 raise InfeasibleError("no survivors left to repartition")
-            dead = [rid for rid in cols if not alive(rid)]
-            old_pos = dict(zip(cols, state.pos))
-            old_dir = dict(zip(cols, state.dir))
-            for rid in state.parked_ids:
-                old_pos[rid] = state.park
-                old_dir[rid] = 1
-            new_partition, _ = optimal_partition_bisect(
-                chain, len(survivors), cfg.repartition_eps
-            )
+            old_pos = dict(zip(team, state.pos)) | dict.fromkeys(state.parked_ids, state.park)
+            old_dir = dict(zip(team, state.dir)) | dict.fromkeys(state.parked_ids, 1)
+            new_partition, _ = optimal_partition_bisect(chain, len(survivors), _REPARTITION_EPS)
             events.append((detect_time, "repartition", -1, -1))
-            state = _TeamState(new_partition, survivors, None, cfg.eta)
-            state.pos = [old_pos[rid] for rid in state.robot_ids]
-            state.dir = [old_dir[rid] or 1 for rid in state.robot_ids]
-            state.a_time = [detect_time] * len(state.robot_ids)
-            state.last_comm = [detect_time] * max(0, len(state.robot_ids) - 1)
+            state = _TeamState(
+                new_partition, survivors, [old_pos[rid] for rid in survivors],
+                [old_dir[rid] or 1 for rid in survivors], detect_time, cfg.eta,
+            )
             if noise is not None:
                 lanes = noise[:, state.robot_ids]
-            for rid in dead:
-                out_pos[k:, rid] = old_pos[rid]
-                out_dir[k:, rid] = 0
+            for rid in team:
+                if down[rid]:
+                    out_pos[k:, rid] = old_pos[rid]
+                    out_dir[k:, rid] = 0
             for rid in state.parked_ids:
                 start = old_pos[rid]
                 step_moves = np.sign(state.park - start) * np.arange(steps - k + 1) * cfg.dt
@@ -778,6 +744,25 @@ def simulate(chain: ChainRoadmap, partition: Partition, cfg: SimConfig) -> Trace
                 )
                 out_dir[k:, rid] = np.int8(np.sign(state.park - start))
             theta = -1.0  # one detection per run
+            team = state.robot_ids
+        if k == steps:
+            break
+        # fail and resume are logged for team robots only; a segment runs
+        # up to the next status change
+        events.extend((k * cfg.dt, kind, rid, -1) for kind, rid in due if rid in team)
+        state.failed = [down[rid] for rid in team]
+        k_next = min(changes[cursor][0], steps) if cursor < len(changes) else steps
+        comm: list[tuple[int, int]] = []
+        done, pair = _step_kernel(
+            state, k, k_next, cfg.dt, None if lanes is None else lanes[k:k_next],
+            out_pos, out_dir, comm, theta, cfg.detection_arm_time,
+        )
+        for i, rid in enumerate(team):
+            if state.failed[i]:  # failed robots stand still
+                out_pos[k + 1 : k + done + 1, rid] = state.pos[i]
+                out_dir[k + 1 : k + done + 1, rid] = 0
+        events.extend((step * cfg.dt, "comm", team[p], team[p + 1]) for step, p in comm)
+        k += done
 
     events.sort(key=lambda e: (e[0], e[1], e[2]))
     times = np.arange(steps + 1) * cfg.dt

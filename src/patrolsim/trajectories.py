@@ -526,8 +526,9 @@ class AggregatedClusters:
         return len(self.groups)
 
 
-def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
-    """Group consecutive clusters greedily while their lengths fit in d_max.
+def aggregate_clusters(partition: Partition) -> AggregatedClusters:
+    """Group consecutive clusters greedily while their lengths fit in d_max,
+    the largest cluster length.
 
     Follows the recursion on right-extreme viewpoints: each group extends as
     far right as the running length sum allows, and the next group starts at
@@ -539,20 +540,13 @@ def aggregate_clusters(partition: Partition, d_max=None) -> AggregatedClusters:
         raise ValueError("cannot aggregate an all-empty partition")
     unit = partition.chain.grid[0]
     d = [partition.grid_length(i) for i in active]
-    if d_max is None:
-        limit = max(d)  # empty clusters have length 0
-        dmax = Fraction(limit, unit)
-    else:
-        dmax = Fraction(d_max)
-        limit = dmax * unit
+    limit = max(d)  # empty clusters have length 0
     if limit <= 0:
         raise ValueError("aggregation needs a positive dimension")
-    if max(d) > limit:
-        raise ValueError("d_max override below the largest cluster length")
 
     groups, sums = _groups(d, limit)
     return AggregatedClusters(
-        groups=groups, lengths=tuple(Fraction(x, unit) for x in sums), d_max=dmax
+        groups=groups, lengths=tuple(Fraction(x, unit) for x in sums), d_max=Fraction(limit, unit)
     )
 
 

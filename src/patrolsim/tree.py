@@ -24,7 +24,7 @@ import numpy as np
 
 from .partition import InfeasibleError
 from .roadmap import TreeRoadmap
-from .trajectories import sample_times
+from .trajectories import _circular_gap, sample_times
 
 
 @dataclass(frozen=True)
@@ -386,10 +386,8 @@ class TourTeamTrajectory:
             tour = self.tours[j]
             L = tour.length
             for positions in tour.vertex_positions().values():
-                phases = sorted({(p - off) % L for off in offsets for p in positions})
-                gaps = [b - a for a, b in zip(phases, phases[1:])]
-                gaps.append(phases[0] + L - phases[-1])
-                worst = max(worst, max(gaps))
+                visits = [((p - off) % L,) * 2 for off in offsets for p in positions]
+                worst = max(worst, _circular_gap(visits, L))
         return float(worst)
 
     def sample(self, dt: float):

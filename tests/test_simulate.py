@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from patrolsim.metrics import communication_instants, latency_lower_bounds
 from patrolsim.partition import (
@@ -596,6 +596,87 @@ class TestFailures:
             strict=True,
         )
         assert rt >= 90.0
+
+
+@st.composite
+def failure_runs(draw):
+    """A random chain whose partition has no single-viewpoint cluster, and
+    a run on it with 0-3 failure windows on distinct robots: temporary,
+    ending past the horizon or permanent, with detection on or off."""
+    n = draw(st.integers(8, 30), label="n")
+    m = draw(st.integers(2, min(8, n // 2)), label="m")
+    gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="chain")).uniform(
+        0.3, 2.0, n - 1
+    )
+    chain = ChainRoadmap([0.0] + np.cumsum(gaps).tolist())
+    part, _ = optimal_partition_bisect(chain, m, 1e-9)
+    assume(all(part.length(i) > 0 for i in part.active))
+    horizon = float(draw(st.integers(20, 60), label="horizon"))
+    steps = int(horizon / DT)
+    windows = []
+    for robot in draw(st.lists(st.integers(0, m - 1), max_size=3, unique=True), label="robots"):
+        start = draw(st.integers(0, steps - 1), label="start")
+        end = draw(st.none() | st.integers(start + 1, steps + 100), label="end")
+        windows.append(FailureWindow(robot, start * DT, math.inf if end is None else end * DT))
+    cfg = SimConfig(
+        dt=DT, horizon=horizon, seed=draw(st.integers(0, 2**32 - 1), label="seed"),
+        sigma2=draw(st.sampled_from([0.0, 0.2]), label="sigma2"), failures=tuple(windows),
+        detection_theta=draw(st.sampled_from([None, 5.0, 10.0]), label="theta"),
+        detection_arm_time=draw(st.sampled_from([0.0, 5.0]), label="arm"),
+    )
+    return chain, part, cfg
+
+
+class TestFailureSchedules:
+    """Failure rules on random chains and schedules: one detection at most;
+    fail and resume logged for the robots in the team, before the detection
+    the first robots, after it the survivors that get a cluster; a robot
+    down at the detection is dead for good."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=failure_runs())
+    def test_failure_rules_hold(self, run):
+        chain, part, cfg = run
+        try:
+            trace = simulate(chain, part, cfg)
+        except InfeasibleError:
+            # every robot is down at the detection, or the survivors'
+            # partition has a single-viewpoint cluster
+            assume(False)
+        spans = [
+            (fw.robot, round(fw.start / DT), math.inf if fw.end == math.inf else round(fw.end / DT))
+            for fw in cfg.failures
+        ]
+        detects = [e for e in trace.events if e[1] == "detect"]
+        assert len(detects) <= 1
+        assert [e for e in trace.events if e[1] == "repartition"] == [
+            (t, "repartition", -1, -1) for t, _, _, _ in detects
+        ]
+        team = list(part.active)
+        kd = math.inf
+        if detects:
+            kd = round(trace.detect_time / DT)
+            up = [r for r in range(part.m) if not any(a == r and s <= kd < e for a, s, e in spans)]
+            after = up[: trace.new_partition.cardinality]
+        # every window start and end inside the run is logged for the team
+        # robots at that step, and nothing else
+        logged = []
+        for robot, s, e in spans:
+            for kind, k in (("fail", s), ("resume", e)):
+                if k < cfg.steps and robot in (team if k < kd else after):
+                    logged.append((k * DT, kind, robot, -1))
+        got = [e for e in trace.events if e[1] in ("fail", "resume")]
+        assert sorted(got) == sorted(logged)
+        # a team robot stands still while down, and to the end once dead
+        for robot, s, e in spans:
+            dead = robot in team and s <= kd < e
+            if dead or robot in (team if s < kd else after):
+                stop = cfg.steps if dead else min(e, cfg.steps)
+                assert (trace.positions[s : stop + 1, robot] == trace.positions[s, robot]).all()
+        if cfg.sigma2 == 0.0:
+            # one rounding of a unit-speed step, at the chain's far end
+            tol = DT + math.ulp(chain.coordinates[-1])
+            assert np.abs(np.diff(trace.positions, axis=0)).max() <= tol
 
 
 class TestNoise:

@@ -12,6 +12,9 @@ from the list kernel that fires a phase timer within a step, before the
 kernel advanced free robots a stretch at a time.  Their waits are not whole
 numbers of steps, so a robot whose timer fires partway through a step moves
 for less than ``dt`` in it; noisy runs on them pin that partial step.
+The failure schedules ``m12_parked_down_at_detect``, ``detect_drops_resume``
+and ``window_past_horizon`` were recorded before ``simulate`` drove its
+failures from one robot-status table.
 """
 
 from __future__ import annotations
@@ -60,6 +63,26 @@ CONFIGS = {
     ),
     # meetings need exact arrival at the shared viewpoint
     "eta0": SimConfig(dt=DT, horizon=160.0, seed=4, eta=0.0),
+    # as m12_detect_rejoin, but parked robot 10 is down from 90 to 150, over
+    # the detection: no fail or resume is logged for it, it stays parked,
+    # and parked robot 11 rejoins instead
+    "m12_parked_down_at_detect": SimConfig(
+        dt=DT, horizon=300.0, seed=22,
+        failures=(FailureWindow(6, 100.0), FailureWindow(10, 90.0, 150.0)),
+        detection_theta=8.0, detection_arm_time=50.0,
+    ),
+    # as c7, but robot 2 is down from 305 to 330 when the detection fires:
+    # it is declared dead and stands still, and its resume is dropped; a
+    # rule that lets it rejoin must re-record this digest
+    "detect_drops_resume": SimConfig(
+        dt=DT, horizon=440.0, seed=5,
+        failures=(FailureWindow(6, 300.0), FailureWindow(2, 305.0, 330.0)),
+        detection_theta=8.0, detection_arm_time=200.0,
+    ),
+    # a window that ends past the horizon: robot 3 fails and never resumes
+    "window_past_horizon": SimConfig(
+        dt=DT, horizon=140.0, seed=7, sigma2=0.1, failures=(FailureWindow(3, 100.0, 200.0),)
+    ),
 }
 
 # general chains: ``g<c>_m<m>_...`` runs m robots on the chain whose gaps
@@ -85,7 +108,7 @@ CONFIGS.update(
 )
 
 # team size of each config; the others run ten robots
-ROBOTS = {"m12_noisy_0.2": 12, "m12_detect_rejoin": 12}
+ROBOTS = {"m12_noisy_0.2": 12, "m12_detect_rejoin": 12, "m12_parked_down_at_detect": 12}
 ROBOTS.update({name: int(name.split("_")[1][1:]) for name in CONFIGS if name[0] == "g"})
 
 # (positions.tobytes(), dirs.tobytes(), repr(events))
@@ -149,6 +172,21 @@ DIGESTS = {
         "3df0050ef192c7f74d9a56f4bf113da58d2db5f0c5dca7d4cab40fca3960a37a",
         "6b5ae39ca4f7251632df812509d9573462a1e8ef2c2e0fc43bcfd02205c06199",
         "147aec08467a883ed7cbd05d3fbafd5626f97ce4cb7a6b4e933ff740f2c1bed9",
+    ),
+    "m12_parked_down_at_detect": (
+        "c20969a6d568af54acdf6c8eb4b45674f29c08735ffef6fd6c655b7f15e8e41b",
+        "d602f4e742290148c49387180853c88f685d3b73965855b8729099843422d9e3",
+        "c888c2eb1ce8ce2f0e4a44ad05bceb7bd69bf812345ed0d410ed27ac4d90ea22",
+    ),
+    "detect_drops_resume": (
+        "1cc13fcbaf14852ad7d65de3c09aeaed9675e7ce9a495b84a8331f577f2a42ae",
+        "10ccff3de8d1bd2f9a593cf0cc6dc7e4065dab66534a9406c8a3600e290bc0ea",
+        "a98b6e298d32e92532db1a633aee768f635092cb6133e72c20454936aa8b0b9b",
+    ),
+    "window_past_horizon": (
+        "18650cbe23a6ae25e0fada67201128c2ac3ad6bf3c3685c7cfe715ff68de0aaa",
+        "caf6a3cb7b422ba518036dd4d03078e779881787560dc83054397ec741e122f9",
+        "85ca6d06b7581f4256da7e7ac3af4119af85a3a968bb9ac6d386eb53d6955ddc",
     ),
     "g1_m8_0.0": (
         "89ac2eb99ec7ca0c459a0e6d9c17f1fddf4c67e9792882fc32e33be666d64e3f",
@@ -244,6 +282,10 @@ METRICS = {
     "m12_noisy_0.2": (5.03125, 18.125, 18.375, 18.375, 70.0, False),
     "m12_detect_rejoin": (4.0, 16.0, 16.0, 16.0, 118.875, True),
     "eta0": (4.0, 16.0, 16.0, 16.0, 15.96875, True),
+    "m12_parked_down_at_detect": (4.0, 16.0, 16.0, 16.0, 118.875, True),
+    # the survivors' 8-robot partition, without dead robots 2 and 6
+    "detect_drops_resume": (6.0, 18.0, 18.0, 18.0, 326.03125, True),
+    "window_past_horizon": (4.875, 42.625, 50.78125, 50.78125, 70.0, False),
     "g1_m8_0.0": (9.625, 28.4375, 29.3125, 29.3125, 70.0, False),
     "g1_m8_0.2": (10.28125, 28.96875, 29.96875, 29.96875, 70.0, False),
     "g1_m8_0.5": (10.5, 29.53125, 29.53125, 29.53125, 70.0, False),

@@ -91,12 +91,6 @@ class TestAggregation:
         agg = aggregate_clusters(part)
         assert agg.groups == ((0,), (1,))
 
-    def test_single_group_with_dmax_override(self):
-        _, part = chain_with_lengths([1.0, 1.0, 1.0])
-        agg = aggregate_clusters(part, d_max=3.0)
-        assert agg.groups == ((0, 1, 2),)
-        assert agg.count == 1
-
     def test_consecutive_group_sums_exceed_dmax(self, rng):
         for _ in range(30):
             m = rng.randint(2, 9)
