@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+import numpy as np
+
 from .partition import InfeasibleError, optimal_partition_bisect
-from .roadmap import ChainRoadmap, Roadmap
+from .roadmap import ChainRoadmap, Roadmap, _spanning_tree
 from .trajectories import TeamTrajectory, min_refresh_trajectory
 from .tree import TourTeamTrajectory, _closed_walk, _euler_tour
 
@@ -49,32 +51,6 @@ class ChainifyResult:
     chain: ChainRoadmap
     back_map: tuple[str, ...]
     edge_lengths: tuple[Fraction, ...]
-
-
-def _spanning_tree(n: int, edges) -> list[tuple[int, int, int]]:
-    """Minimum spanning forest of ``(i, j, w)`` edges over vertices 0..n-1
-    with exact int lengths ``w``, by Kruskal's algorithm.
-
-    Edges are taken in order of (w, min(i, j), max(i, j)), so among equal
-    lengths the edge with the lower endpoint indices wins and the result is
-    unique.  Returns the kept edges as (min index, max index, w) in that
-    order.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for w, i, j in sorted((w, min(i, j), max(i, j)) for i, j, w in edges):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.append((i, j, w))
-    return tree
 
 
 def chainify(g: Roadmap) -> ChainifyResult:
@@ -345,10 +321,12 @@ def exact_path_cover(g: Roadmap, m: int) -> PathCover:
 
     Computes minimum Hamiltonian-path costs for every vertex subset by
     dynamic programming, then searches all partitions into at most m parts
-    for the one minimizing the largest part cost.  The DP tables are plain
-    lists of Python floats and ints: it reads one entry at a time, and
-    indexing a list is several times cheaper than making a numpy scalar.
-    The sums and strict comparisons are the same IEEE operations either way.
+    for the one minimizing the largest part cost.  The DP runs one subset
+    size at a time on arrays: a path over S + u ending at u extends a path
+    over S, so every S of one size takes best[S, v] + dist[v, u] for all v
+    and u at once, and ``argmin`` over v keeps the first cheapest v, as a
+    strict ``<`` scan over v ascending would.  Each sum is one IEEE
+    addition of the same floats.
     """
     if g.n > EXACT_MAX_N or m > EXACT_MAX_M:
         raise InfeasibleError(
@@ -357,29 +335,27 @@ def exact_path_cover(g: Roadmap, m: int) -> PathCover:
     if m < 1:
         raise InfeasibleError("need at least one robot")
     n = g.n
-    dist = g.distance_matrix().tolist()
+    dist = g.distance_matrix()
     full = 1 << n
     inf = math.inf
-    # best[S][v]: cheapest path visiting exactly S, ending at v
-    best = [[inf] * n for _ in range(full)]
-    choice = [[-1] * n for _ in range(full)]
-    for v in range(n):
-        best[1 << v][v] = 0.0
-    for s in range(1, full):
-        best_s = best[s]
-        for v in range(n):
-            if not s & (1 << v) or best_s[v] == inf:
-                continue
-            cost, dist_v = best_s[v], dist[v]
-            for u in range(n):
-                if s & (1 << u):
-                    continue
-                ns = s | (1 << u)
-                c = cost + dist_v[u]
-                if c < best[ns][u]:
-                    best[ns][u] = c
-                    choice[ns][u] = v
-    min_path = [min(row) for row in best]
+    # best[S, v]: cheapest path visiting exactly S, ending at v
+    best = np.full((full, n), inf)
+    choice = np.full((full, n), -1)
+    bit = 1 << np.arange(n)
+    best[bit, np.arange(n)] = 0.0
+    subsets = np.arange(full)
+    inside = (subsets[:, None] & bit) != 0
+    size = inside.sum(axis=1)
+    for k in range(1, n):
+        s = subsets[size == k]
+        cand = best[s][:, :, None] + dist  # [S, v, u]
+        v = cand.argmin(axis=1)
+        rows, u = np.nonzero(~inside[s])
+        ns = s[rows] | bit[u]
+        best[ns, u] = cand[rows, v[rows, u], u]
+        choice[ns, u] = v[rows, u]
+    min_path = best.min(axis=1).tolist()
+    best, choice = best.tolist(), choice.tolist()
 
     from functools import lru_cache
 

@@ -63,6 +63,32 @@ def _on_grid(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return unit, tuple(x.numerator * (unit // x.denominator) for x in values)
 
 
+def _spanning_tree(n: int, edges) -> list[tuple[int, int, int]]:
+    """Minimum spanning forest of ``(i, j, w)`` edges over vertices 0..n-1
+    with exact int lengths ``w``, by Kruskal's algorithm.
+
+    Edges are taken in order of (w, min(i, j), max(i, j)), so among equal
+    lengths the edge with the lower endpoint indices wins and the result is
+    unique.  Returns the kept edges as (min index, max index, w) in that
+    order.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for w, i, j in sorted((w, min(i, j), max(i, j)) for i, j, w in edges):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j, w))
+    return tree
+
+
 def _shortest_from(adj: list[list[tuple[int, int]]], s: int) -> dict[int, int]:
     """Dijkstra from ``s`` over int edge lengths: {reached vertex: distance}."""
     done: dict[int, int] = {}
@@ -84,12 +110,19 @@ class Roadmap:
     Distances are exact on the roadmap's integer grid: ``grid`` is (U,
     lengths), where the unit U is the least common denominator of the edge
     lengths and ``lengths[k] = Fraction(edges[k][2]) * U`` is an int.
-    Construction runs one Dijkstra per source on those ints, so
     ``grid_distances[i][j]`` is the exact shortest-path length between
-    vertices i and j times U.  ``distance`` and ``distance_matrix`` return
-    it rounded once to the nearest float, which makes them symmetric, and
-    the metric check compares ints.  All of it is computed in the
-    constructor (instances stay small) and never changes afterwards.
+    vertices i and j times U, found by one Dijkstra per source on those
+    ints.  ``distance`` and ``distance_matrix`` return it rounded once to
+    the nearest float, which makes them symmetric, and the metric check
+    compares ints.
+
+    The constructor checks connectivity with one union-find pass (the
+    spanning forest of ``_spanning_tree``).  A
+    connected graph with n - 1 edges is a tree, whose only route between an
+    edge's ends is that edge, so it passes the metric check without one;
+    any other roadmap runs the check, and with it the all-pairs table, at
+    construction.  A tree builds the table and the float matrix on first
+    use, which the tree planner never makes.  Nothing changes afterwards.
     """
 
     kind = "general"
@@ -117,25 +150,33 @@ class Roadmap:
         self.xy = dict(xy) if xy else {}
 
         self.grid = _on_grid([Fraction(w) for _, _, w in self.edges])
-        unit, lengths = self.grid
+        ends = [
+            (self._index[u], self._index[v], w) for (u, v, _), w in zip(self.edges, self.grid[1])
+        ]
+        # a spanning forest has one edge fewer than vertices per component
+        ncomp = self.n - len(_spanning_tree(self.n, ends))
+        if ncomp != 1:
+            raise RoadmapError(f"roadmap is disconnected ({ncomp} components)")
+        if len(self.edges) != self.n - 1:
+            self._validate_metric(strict=strict_metric)
 
-        n = len(self.ids)
+    @cached_property
+    def grid_distances(self) -> tuple[tuple[int, ...], ...]:
+        unit, lengths = self.grid
+        n = self.n
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (u, v, _), w in zip(self.edges, lengths):
             i, j = self._index[u], self._index[v]
             adj[i].append((j, w))
             adj[j].append((i, w))
         reached = [_shortest_from(adj, s) for s in range(n)]
-        # each component is counted at its lowest vertex
-        ncomp = sum(1 for s, row in enumerate(reached) if min(row) == s)
-        if ncomp != 1:
-            raise RoadmapError(f"roadmap is disconnected ({ncomp} components)")
-        self.grid_distances: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row[j] for j in range(n)) for row in reached
-        )
+        return tuple(tuple(row[j] for j in range(n)) for row in reached)
+
+    @cached_property
+    def _dist(self) -> np.ndarray:
         # int true division rounds correctly, so the matrix is symmetric
-        self._dist = np.array([[d / unit for d in row] for row in self.grid_distances])
-        self._validate_metric(strict=strict_metric)
+        unit = self.grid[0]
+        return np.array([[d / unit for d in row] for row in self.grid_distances])
 
     def _validate_metric(self, strict: bool) -> None:
         unit, lengths = self.grid

@@ -7,7 +7,13 @@ edges, patrol each resulting component with one or more robots equally
 spaced along its tour, and judge the plan by the worst per-component tour
 length divided by its robot count.  A parametric DP over the tree finds
 the optimal plan exactly in time polynomial in n and m
-(``optimal_subtree_collection``).
+(``optimal_subtree_collection``).  It reads only the tree's edges and
+their integer grid, so a tree of any size plans without a distance table.
+
+``efficient_trajectory`` checks each plan against the refresh time of its
+tours (``TourTeamTrajectory.refresh_time``): a tour's equally spaced
+robots fold onto one of them, and each vertex's largest revisit gap is
+read on the tour's integer grid.
 
 ``_closed_walk`` is the package's one tree walk: tours, chainification
 and the path cover's preorder walks all take it.
@@ -23,8 +29,8 @@ from itertools import accumulate
 import numpy as np
 
 from .partition import InfeasibleError
-from .roadmap import TreeRoadmap
-from .trajectories import _circular_gap, sample_times
+from .roadmap import TreeRoadmap, _on_grid
+from .trajectories import sample_times
 
 
 @dataclass(frozen=True)
@@ -359,10 +365,11 @@ def optimal_subtree_collection(tree: TreeRoadmap, m: int) -> SubtreeCollection:
 class TourTeamTrajectory:
     """Robots riding closed depth-first tours at unit speed.
 
-    Each robot's position is its arc coordinate on its own tour; all robots
-    of one subtree share the tour and differ by phase offsets of one
-    tour-length fraction.  A path-cover robot sweeping its path back and
-    forth rides the closed walk of that path the same way.
+    Each robot's position is its arc coordinate on its own tour.  The m_j
+    robots of tour j ride it equally spaced: robot k of the tour, in robot
+    order, starts at phase offset k * L_j / m_j, where L_j is the tour's
+    length.  A path-cover robot sweeping its path back and forth rides the
+    closed walk of that path the same way, alone on it.
     """
 
     tours: tuple[Tour, ...]
@@ -370,25 +377,52 @@ class TourTeamTrajectory:
     robots: tuple[tuple[int, Fraction], ...]  # (subtree index, phase offset)
     horizon: Fraction
 
+    def __post_init__(self):
+        for j, offsets in self._offsets().items():
+            L, mj = self.tours[j].length, len(offsets)
+            if offsets != [k * L / mj for k in range(mj)]:
+                raise ValueError(
+                    f"the {mj} robots of tour {j} must start at offsets k * {L} / {mj}"
+                )
+
+    def _offsets(self) -> dict[int, list[Fraction]]:
+        by_tour: dict[int, list[Fraction]] = {}
+        for j, off in self.robots:
+            by_tour.setdefault(j, []).append(off)
+        return by_tour
+
     @property
     def m(self) -> int:
         return len(self.robots)
 
     def refresh_time(self) -> float:
-        """Largest revisit gap over all vertices (exact, steady state)."""
-        worst = Fraction(0)
-        by_tree: dict[int, list[Fraction]] = {}
-        for j, off in self.robots:
-            by_tree.setdefault(j, []).append(off)
-        for j, offsets in by_tree.items():
+        """Largest revisit gap over all vertices (exact, steady state).
+
+        A vertex at arc position p of tour j is visited whenever some robot
+        reaches p, at the instants p - k L / m_j modulo L.  That set repeats
+        every L / m_j, so scaled by m_j it is the single point p m_j modulo
+        L, and the vertex's gap is the largest circular gap, on a circle of
+        length L, of p m_j mod L over its positions p, divided by m_j.  All
+        of it runs on the tour's integer grid, and the worst gap over every
+        tour is divided out once, which rounds correctly.
+        """
+        worst, scale = 0, 1  # the worst gap is worst / scale
+        for j, offsets in self._offsets().items():
             if self.stationary[j] is not None:
                 continue
-            tour = self.tours[j]
-            L = tour.length
-            for positions in tour.vertex_positions().values():
-                visits = [((p - off) % L,) * 2 for off in offsets for p in positions]
-                worst = max(worst, _circular_gap(visits, L))
-        return float(worst)
+            tour, mj = self.tours[j], len(offsets)
+            unit, xs = _on_grid(tour.cum)
+            L = xs[-1]
+            folded: dict[str, list[int]] = {}
+            for vid, x in zip(tour.vertices, xs[:-1]):
+                folded.setdefault(vid, []).append(x * mj % L)
+            gap = 0
+            for ps in folded.values():
+                ps.sort()
+                gap = max(gap, ps[0] + L - ps[-1], *(b - a for a, b in zip(ps, ps[1:])))
+            if gap * scale > worst * mj * unit:
+                worst, scale = gap, mj * unit
+        return worst / scale
 
     def sample(self, dt: float):
         times = sample_times(self.horizon, dt)

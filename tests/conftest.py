@@ -4,12 +4,15 @@ The oracles here deliberately avoid the library's code paths: the interval
 partition oracle is a dynamic program over prefixes, the latency oracle
 works on densely sampled traces with naive linear scans, the brute
 shortest-path oracle enumerates simple paths, and the exact distance
-oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  They exist to pin
+oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  The tour-check
+and path-cover oracles keep the library's earlier ``Fraction`` and list
+loops, which the grid and array versions must equal.  They exist to pin
 expected values independently of the implementations under test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -20,7 +23,8 @@ import pytest
 
 from patrolsim.partition import InfeasibleError, Partition, partition_from_clusters
 from patrolsim.roadmap import ChainRoadmap, Roadmap
-from patrolsim.trajectories import PiecewisePath, TeamTrajectory
+from patrolsim.cover import PathCover
+from patrolsim.trajectories import PiecewisePath, TeamTrajectory, _circular_gap
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,101 @@ def subtree_search_oracle(tree, m: int):
                     best = key
     obj, _, removed_idx, alloc, comps = best
     return tuple(edges[i][:2] for i in removed_idx), tuple(comps), alloc, obj
+
+
+# ---------------------------------------------------------------------------
+# tour-check oracle
+
+
+def fraction_tour_refresh_time(traj) -> float:
+    """``TourTeamTrajectory.refresh_time`` in plain ``Fraction`` arithmetic:
+    every robot's visits to every vertex, one tour length apart, and the
+    largest circular gap among them, whatever the robots' offsets."""
+    worst = Fraction(0)
+    by_tree: dict[int, list[Fraction]] = {}
+    for j, off in traj.robots:
+        by_tree.setdefault(j, []).append(off)
+    for j, offsets in by_tree.items():
+        if traj.stationary[j] is not None:
+            continue
+        tour = traj.tours[j]
+        L = tour.length
+        for positions in tour.vertex_positions().values():
+            visits = [((p - off) % L,) * 2 for off in offsets for p in positions]
+            worst = max(worst, _circular_gap(visits, L))
+    return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# path-cover oracle
+
+
+def list_dp_path_cover(g: Roadmap, m: int) -> PathCover:
+    """``exact_path_cover`` with its Hamiltonian-path DP over plain lists:
+    subsets in increasing order, and for each the end vertices v and the
+    next vertices u in increasing order, kept on a strict ``<``.  The
+    partition search and the path rebuild are the library's."""
+    n = g.n
+    dist = g.distance_matrix().tolist()
+    full = 1 << n
+    inf = math.inf
+    best = [[inf] * n for _ in range(full)]
+    choice = [[-1] * n for _ in range(full)]
+    for v in range(n):
+        best[1 << v][v] = 0.0
+    for s in range(1, full):
+        best_s = best[s]
+        for v in range(n):
+            if not s & (1 << v) or best_s[v] == inf:
+                continue
+            cost, dist_v = best_s[v], dist[v]
+            for u in range(n):
+                if s & (1 << u):
+                    continue
+                ns = s | (1 << u)
+                c = cost + dist_v[u]
+                if c < best[ns][u]:
+                    best[ns][u] = c
+                    choice[ns][u] = v
+    min_path = [min(row) for row in best]
+
+    @functools.lru_cache(maxsize=None)
+    def solve(remaining: int, parts: int):
+        if remaining == 0:
+            return 0.0, ()
+        if parts == 0:
+            return inf, ()
+        low = remaining & -remaining
+        rest = remaining ^ low
+        best_val, best_split = inf, ()
+        sub = rest
+        while True:
+            s = sub | low
+            head = min_path[s]
+            if head < best_val:
+                tail_val, tail = solve(remaining ^ s, parts - 1)
+                total = max(head, tail_val)
+                if total < best_val:
+                    best_val, best_split = total, (s,) + tail
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        return best_val, best_split
+
+    _, split = solve(full - 1, m)
+    paths = []
+    for s in split:
+        members = [v for v in range(n) if s & (1 << v)]
+        v = min(members, key=lambda vv: best[s][vv])
+        seq = [v]
+        cur = s
+        while choice[cur][v] >= 0:
+            prev = choice[cur][v]
+            cur ^= 1 << v
+            seq.append(prev)
+            v = prev
+        paths.append(tuple(g.ids[i] for i in reversed(seq)))
+    return PathCover(roadmap=g, paths=tuple(paths))
 
 
 # ---------------------------------------------------------------------------

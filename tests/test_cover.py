@@ -19,7 +19,7 @@ from patrolsim.cover import (
 from patrolsim.partition import InfeasibleError
 from patrolsim.roadmap import ChainRoadmap, Roadmap, TreeRoadmap
 
-from conftest import random_metric_roadmap
+from conftest import list_dp_path_cover, random_metric_roadmap
 
 
 def unit_triangle():
@@ -259,6 +259,28 @@ class TestExactCover:
             m = rng.randint(1, 3)
             opt = exact_path_cover(g, m)
             assert math.isclose(opt.cost, brute_cover_cost(g, m), abs_tol=1e-9)
+
+    @pytest.mark.parametrize("weights", ["euclidean", "tie-heavy"])
+    def test_matches_list_dp_oracle(self, weights):
+        # lengths of 1.0 and 2.0 tie many paths, so the layered DP's argmin
+        # must keep the same cheapest end vertex as the list DP's strict <;
+        # any connected graph on those two lengths is metric
+        rng = random.Random(f"exact-cover-{weights}")
+        for _ in range(60):
+            if weights == "euclidean":
+                g = random_metric_roadmap(rng, n_lo=2, n_hi=8)
+            else:
+                n = rng.randint(2, 8)
+                ids = [f"v{i}" for i in range(n)]
+                pairs = {(i, rng.randrange(i)) for i in range(1, n)}
+                pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))}
+                pairs = {(max(p), min(p)) for p in pairs}
+                edges = [(ids[i], ids[j], rng.choice([1.0, 2.0])) for i, j in sorted(pairs)]
+                g = Roadmap(ids, edges)
+            for m in (1, 2, 3):
+                got, want = exact_path_cover(g, m), list_dp_path_cover(g, m)
+                assert got.paths == want.paths
+                assert got.cost_exact == want.cost_exact
 
     def test_size_limits(self, rng):
         g = random_metric_roadmap(rng, n_lo=9, n_hi=10)

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patrolsim
@@ -23,7 +24,7 @@ from patrolsim.roadmap import (
     load_roadmap,
 )
 
-from conftest import brute_shortest_path, exact_distances, random_metric_roadmap
+from conftest import brute_shortest_path, exact_distances, random_metric_roadmap, random_tree
 
 
 def unit_triangle() -> Roadmap:
@@ -200,6 +201,40 @@ class TestDistances:
                 assert math.isclose(
                     chain.distance(u, v), g.distance(u, v), rel_tol=0, abs_tol=1e-9
                 )
+
+
+class TestTreeRoadmap:
+    def test_cyclic_graph_with_n_edges_rejected(self):
+        with pytest.raises(RoadmapError, match="n-1 edges, got 3 for n=3"):
+            TreeRoadmap(["a", "b", "c"], unit_triangle().edges)
+
+    def test_cycle_checks_its_metric_before_its_edge_count(self):
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 5.0)]
+        with pytest.raises(MetricViolation):
+            TreeRoadmap(["a", "b", "c"], edges)
+        with pytest.warns(UserWarning), pytest.raises(RoadmapError, match="n-1 edges"):
+            TreeRoadmap(["a", "b", "c"], edges, strict_metric=False)
+
+    def test_disconnected_reports_component_count(self):
+        # n - 1 edges, one of them closing a cycle: two components
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)]
+        with pytest.raises(RoadmapError, match=r"disconnected \(2 components\)"):
+            TreeRoadmap(["a", "b", "c", "d"], edges)
+        with pytest.raises(RoadmapError, match=r"disconnected \(4 components\)"):
+            TreeRoadmap(["a", "b", "c", "d"], [])
+
+    def test_distances_are_exact_path_lengths_rounded_once(self, rng):
+        trees = [random_tree(rng, n_lo=1, n_hi=25) for _ in range(40)]
+        trees.append(TreeRoadmap(["a"], []))
+        for t in trees:
+            exact = exact_distances(t)
+            for i, u in enumerate(t.ids):
+                for j, v in enumerate(t.ids):
+                    assert t.distance(u, v) == float(exact[i][j])
+            assert (t.distance_matrix() == np.array(exact, dtype=float)).all()
+            assert t.grid_distances == tuple(
+                tuple(int(d * t.grid[0]) for d in row) for row in exact
+            )
 
 
 class TestEdgeRatio:

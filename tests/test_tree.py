@@ -11,17 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patrolsim.cli import dispatch
-from patrolsim.cover import chainify
+from patrolsim.cover import chainify, minmax_path_cover, path_cover_trajectory
 from patrolsim.partition import InfeasibleError
 from patrolsim.roadmap import TreeRoadmap
 from patrolsim.tree import (
     SubtreeCollection,
+    TourTeamTrajectory,
+    _euler_tour,
     depth_first_tour,
     efficient_trajectory,
     optimal_subtree_collection,
 )
 
-from conftest import random_tree, subtree_search_oracle
+from conftest import (
+    fraction_tour_refresh_time,
+    random_metric_roadmap,
+    random_tree,
+    subtree_search_oracle,
+)
 
 
 def sampled_visit_times(traj, dt: float) -> dict[str, list[float]]:
@@ -226,6 +233,125 @@ class TestEfficientTrajectory:
             assert abs(worst - traj.refresh_time()) <= 2 * dt
 
 
+def equally_spaced_team(tours, counts, horizon=1) -> TourTeamTrajectory:
+    """Tour team with counts[j] robots equally spaced on tours[j]."""
+    return TourTeamTrajectory(
+        tours=tuple(tours),
+        stationary=tuple(
+            t.vertices[0] if len(t.vertices) == 1 else None for t in tours
+        ),
+        robots=tuple(
+            (j, k * t.length / mj)
+            for j, (t, mj) in enumerate(zip(tours, counts))
+            for k in range(mj)
+        ),
+        horizon=Fraction(horizon),
+    )
+
+
+def cut_components(n: int, edges, cut) -> list[list[int]]:
+    """Vertex lists of the forest left after removing the edges indexed in
+    ``cut``, each in vertex order, in order of their lowest vertex."""
+    label = list(range(n))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for k, (u, v, _) in enumerate(edges):
+        if k not in cut:
+            label[max(find(u), find(v))] = min(find(u), find(v))
+    comps: dict[int, list[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
+
+
+class TestTourCheck:
+    """``TourTeamTrajectory.refresh_time`` folds each tour on its integer
+    grid; it must equal the plain ``Fraction`` visit loop exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 8),
+        weights=st.sampled_from(["float", "decimal", "fraction"]),
+        data=st.data(),
+    )
+    def test_equals_fraction_oracle(self, n, m, weights, data):
+        # float weights have power-of-two denominators up to 2**55; decimal
+        # ones are floats near 1/10ths; Fractions over 3, 7 and 9 put the
+        # tour on a grid that no power of two divides
+        draw = {
+            "float": st.floats(0.05, 5.0),
+            "decimal": st.sampled_from([0.1, 0.3, 0.7, 1.1, 2.9]),
+            "fraction": st.builds(
+                Fraction, st.integers(1, 40), st.sampled_from([3, 7, 9, 21])
+            ),
+        }[weights]
+        edges = [
+            (i, data.draw(st.integers(0, i - 1)), data.draw(draw)) for i in range(1, n)
+        ]
+        cut = data.draw(st.sets(st.integers(0, max(n - 2, 0)), max_size=min(m - 1, n - 1)))
+        comps = cut_components(n, edges, cut)
+        counts = [1] * len(comps)
+        for _ in range(m - len(comps)):
+            counts[data.draw(st.integers(0, len(comps) - 1))] += 1
+        tours = []
+        for comp in comps:
+            inside = set(comp)
+            sub = [
+                (f"v{u}", f"v{v}", w)
+                for k, (u, v, w) in enumerate(edges)
+                if k not in cut and u in inside and v in inside
+            ]
+            tours.append(_euler_tour([f"v{v}" for v in comp], sub, f"v{comp[0]}"))
+        traj = equally_spaced_team(tours, counts)
+        assert traj.refresh_time() == fraction_tour_refresh_time(traj)
+
+    def test_planned_trees_equal_fraction_oracle(self):
+        rng = random.Random("tour-check-trees")
+        for _ in range(12):
+            t = random_tree(rng, n_lo=2, n_hi=40)
+            for m in (1, 3, 8):
+                coll = optimal_subtree_collection(t, m)
+                traj = efficient_trajectory(coll, horizon=max(1.0, 2.0 * coll.objective))
+                assert traj.refresh_time() == fraction_tour_refresh_time(traj)
+                assert traj.refresh_time() == coll.objective
+
+    def test_path_cover_sweeps_equal_fraction_oracle(self):
+        rng = random.Random("tour-check-covers")
+        for _ in range(20):
+            g = random_metric_roadmap(rng, n_lo=3, n_hi=30)
+            for m in (1, 2, 3, 5):
+                cover = minmax_path_cover(g, m)
+                traj = path_cover_trajectory(cover, m, horizon=max(4 * cover.cost, 1.0))
+                assert traj.refresh_time() == fraction_tour_refresh_time(traj)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [(0, 2), (0, 0), (3, 0), (1,)],
+        ids=["unequal", "coincident", "reversed", "shifted"],
+    )
+    def test_unequal_offsets_rejected(self, offsets):
+        # the star's tour has length 6: two robots belong at 0 and 3, one at 0
+        tour = depth_first_tour(unit_star())
+        with pytest.raises(ValueError, match="offsets"):
+            TourTeamTrajectory(
+                tours=(tour,),
+                stationary=(None,),
+                robots=tuple((0, Fraction(off)) for off in offsets),
+                horizon=Fraction(1),
+            )
+
+    def test_equal_offsets_on_each_tour(self):
+        star, path = depth_first_tour(unit_star()), depth_first_tour(unit_path(2))
+        team = equally_spaced_team([star, path], [3, 2])
+        assert team.robots == ((0, 0), (0, 2), (0, 4), (1, 0), (1, 2))
+        assert team.refresh_time() == 2.0 == fraction_tour_refresh_time(team)
+
+
 class TestOptimalSubtreeCollection:
     def test_star_keeps_tree_whole(self):
         coll = optimal_subtree_collection(unit_star(), 2)
@@ -358,9 +484,8 @@ class TestOptimalSubtreeCollection:
         assert doc["tours"][0]["length"] == 6.0
 
 
-def test_tree_command_on_a_large_tree(tmp_path):
-    # 40 vertices and 8 robots, planned and replayed from the manifest
-    t = random_tree(random.Random("tree-cli"), n_lo=40, n_hi=40)
+def plan_and_replay(tmp_path, t: TreeRoadmap, m: int) -> None:
+    """Plan ``t`` with the tree command and replay it from its manifest."""
     doc = {
         "kind": "tree",
         "vertices": [{"id": v} for v in t.ids],
@@ -368,9 +493,19 @@ def test_tree_command_on_a_large_tree(tmp_path):
     }
     roadmap, plan = tmp_path / "tree.json", tmp_path / "plan.json"
     roadmap.write_text(json.dumps(doc))
-    assert dispatch(["tree", "--roadmap", str(roadmap), "-m", "8", "--out", str(plan)]) == 0
+    assert dispatch(["tree", "--roadmap", str(roadmap), "-m", str(m), "--out", str(plan)]) == 0
     written = plan.read_text()
-    assert json.loads(written) == optimal_subtree_collection(t, 8).to_document()
+    assert json.loads(written) == optimal_subtree_collection(t, m).to_document()
     manifest = tmp_path / "plan.json.manifest.json"
     assert dispatch(["rerun", "--manifest", str(manifest)]) == 0
     assert plan.read_text() == written
+
+
+def test_tree_command_on_a_large_tree(tmp_path):
+    # 40 vertices and 8 robots, planned and replayed from the manifest
+    plan_and_replay(tmp_path, random_tree(random.Random("tree-cli"), n_lo=40, n_hi=40), 8)
+
+
+def test_tree_command_on_a_5000_vertex_tree(tmp_path):
+    # no all-pairs table: a tree of 5000 vertices loads, plans and replays
+    plan_and_replay(tmp_path, random_tree(random.Random("tree-5000"), n_lo=5000, n_hi=5000), 8)
