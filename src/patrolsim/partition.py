@@ -8,10 +8,22 @@ two optimizers here: a bisection to tolerance ``eps`` over greedy covers
 and an exact search on the chain's integer grid used as its oracle.  Every
 cluster they build is a slice of the chain's index tuple
 (``ChainRoadmap.indices``), and each call validates one ``Partition``.
+
+Both searches run a greedy pass stopped after m clusters, O(m log n) fit or
+miss, and let one pass decide a whole interval of spans.  On the grid the
+bracket snaps to the pass's widest span or least reach.  In floats the
+bisection keeps its midpoints and skips the pass at a midpoint at or above
+nextafter(widest) of an earlier fit, or at or below its least reach minus
+two ulps of the chain's length after an earlier miss; rounding is monotone,
+so those midpoints decide as a pass would (the proof is in
+``optimal_partition_bisect``).  The bisection stops when no float lies
+between its bracket's ends, so an ``eps`` below the float spacing at the
+optimal span ends with a bracket one ulp wide.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,6 +224,35 @@ def _validate_m(chain: ChainRoadmap, m: int) -> None:
         )
 
 
+def _float_greedy(coords: tuple[float, ...], rho: float, m: int) -> tuple[bool, float]:
+    """One greedy pass over the float ``coords`` with clusters of span at
+    most ``rho``, stopped once m clusters leave viewpoints over: at most m
+    binary searches, whether the span fits or not.
+
+    Returns (fits, bound).  If the clusters fit in m, ``bound`` is the
+    widest float span y - x among them; otherwise it is the least float
+    reach z - x of the m clusters, z being the first viewpoint past a
+    cluster that starts at x.
+    """
+    n = len(coords)
+    widest = 0.0
+    reach = math.inf
+    built = 0
+    i = 0
+    while i < n:
+        if built == m:
+            return False, reach
+        built += 1
+        x = coords[i]
+        j = bisect_right(coords, x + rho, i)
+        if coords[j - 1] - x > widest:
+            widest = coords[j - 1] - x
+        if j < n and coords[j] - x < reach:
+            reach = coords[j] - x
+        i = j
+    return True, widest
+
+
 def optimal_partition_bisect(
     chain: ChainRoadmap, m: int, eps: float
 ) -> tuple[Partition, BisectionReport]:
@@ -221,30 +262,65 @@ def optimal_partition_bisect(
     tested span whose greedy partition fits in m clusters.  The loop runs
     until the bracket is within ``eps``, which guarantees the returned
     dimension is at most eps above optimal and caps the iteration count at
-    ceil(log2(2 v_n / (eps m))).  The loop only counts clusters; the greedy
+    ceil(log2(2 v_n / (eps m))), or one more where rounding the midpoints
+    leaves the bracket just above eps.  It also stops when the midpoint
+    equals a or b, that is, when no float lies between them: then b - a is
+    one ulp, which exceeds an ``eps`` below the float spacing at the
+    optimal span, and the count is within the same cap.
+
+    A greedy pass (``_float_greedy``, O(m log n) fit or miss) runs only at
+    a midpoint that no earlier pass has decided.  The float greedy is
+    monotone in the span, and one pass decides a whole interval of spans:
+
+    - a fit at rho, widest span w, holds at every rho' >= min(rho,
+      nextafter(w, inf)).  Each cluster [x, y] has a real span y - x that
+      rounds to at most w, so it is below nextafter(w), and x + rho' > y
+      in reals; rounding is monotone and y is a float, so
+      fl(x + rho') >= y and every cluster still fits.
+    - a miss at rho, least reach r, holds at every rho' <= max(rho,
+      r - 2 u), u = ulp(coords[-1]).  The real z - x is at least r - u/2,
+      so x + rho' <= z - 3u/2, and fl(x + rho') <= z - u < z: the first m
+      clusters are unchanged and still leave viewpoints over.
+
+    A midpoint at or above the first bound is a fit and one at or below
+    the second a miss, so the brackets, the iteration count and the
+    partition are those of a greedy pass at every midpoint.  The greedy
     clusters at the final span are padded and validated as one partition.
     """
     _validate_m(chain, m)
     v_n = chain.length
     if not (0.0 < eps < v_n / m):
         raise ValueError(f"eps must lie in (0, v_n/m) = (0, {v_n / m!r}), got {eps!r}")
+    coords = chain.coordinates
+    slack = 2.0 * math.ulp(coords[-1])
     a = 0.0
     b = 2.0 * v_n / m
+    fits_from, misses_to = math.inf, -math.inf
     iterations = 0
     while (b - a) > eps:
         rho = (a + b) / 2.0
+        if rho == a or rho == b:
+            break
         iterations += 1
-        if left_induced_cardinality(chain, rho) > m:
+        if rho >= fits_from:
+            b = rho
+        elif rho <= misses_to:
             a = rho
         else:
-            b = rho
+            fits, bound = _float_greedy(coords, rho, m)
+            if fits:
+                b = rho
+                fits_from = min(rho, math.nextafter(bound, math.inf))
+            else:
+                a = rho
+                misses_to = max(rho, bound - slack)
     clusters = _greedy_clusters(chain, b)
-    # b is the last span tested feasible, or the initial 2 v_n / m, which
+    # b is the last span decided feasible, or the initial 2 v_n / m, which
     # admits m clusters as well
     assert len(clusters) <= m
     best = Partition(chain, clusters + ((),) * (m - len(clusters)))
     # the widest cluster in floats: the exact dimension builds the grid
-    assert max(best.length(i) for i in range(m)) < 2.0 * v_n / m
+    assert max(coords[c[-1]] - coords[c[0]] for c in clusters) < 2.0 * v_n / m
     return best, BisectionReport(a=a, b=b, iterations=iterations, eps=eps, partition=best)
 
 

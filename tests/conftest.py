@@ -6,7 +6,8 @@ works on densely sampled traces with naive linear scans, the brute
 shortest-path oracle enumerates simple paths, and the exact distance
 oracle runs Floyd-Warshall in ``Fraction`` arithmetic.  The tour-check
 and path-cover oracles keep the library's earlier ``Fraction`` and list
-loops, which the grid and array versions must equal.  They exist to pin
+loops, which the grid and array versions must equal, and the bisection
+oracle keeps its earlier loop, which counts clusters at every midpoint.  They exist to pin
 expected values independently of the implementations under test.
 """
 
@@ -15,13 +16,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from patrolsim.partition import InfeasibleError, Partition, partition_from_clusters
+import patrolsim
+from patrolsim.partition import (
+    InfeasibleError,
+    Partition,
+    left_induced_cardinality,
+    left_induced_partition,
+    partition_from_clusters,
+)
 from patrolsim.roadmap import ChainRoadmap, Roadmap
 from patrolsim.cover import PathCover
 from patrolsim.trajectories import PiecewisePath, TeamTrajectory, _circular_gap
@@ -71,6 +83,30 @@ def min_span_dp_grid(xs, m: int) -> int:
     return dp[n]
 
 
+def bisect_every_midpoint(chain: ChainRoadmap, m: int, eps: float):
+    """``optimal_partition_bisect`` with a full greedy count at every
+    midpoint, as the library ran it before one pass decided an interval of
+    spans.  Returns ``(a, b, iterations, partition)``.
+
+    That loop only ended once the bracket was within ``eps``, so it never
+    ended when ``eps`` is below the float spacing at the optimal span: there
+    a midpoint equals a or b and the bracket stops shrinking.  This copy
+    stops at that midpoint instead, uncounted, with ``b - a > eps``."""
+    v_n = chain.length
+    a, b = 0.0, 2.0 * v_n / m
+    iterations = 0
+    while (b - a) > eps:
+        rho = (a + b) / 2.0
+        if rho == a or rho == b:
+            break
+        iterations += 1
+        if left_induced_cardinality(chain, rho) > m:
+            a = rho
+        else:
+            b = rho
+    return a, b, iterations, left_induced_partition(chain, b).padded(m)
+
+
 def grid_greedy_clusters(xs, span: int) -> tuple[tuple[int, ...], ...]:
     """Left-to-right greedy clusters of grid span at most ``span``, by a
     linear scan: a viewpoint joins the open cluster while it lies within
@@ -82,6 +118,21 @@ def grid_greedy_clusters(xs, span: int) -> tuple[tuple[int, ...], ...]:
         else:
             clusters.append([i])
     return tuple(tuple(c) for c in clusters)
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+
+def run_python(args, timeout: float) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    package, killed after ``timeout`` seconds: a call that never returns
+    fails its test on ``subprocess.TimeoutExpired`` instead of stalling the
+    suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(patrolsim.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from patrolsim.partition import optimal_partition_bisect
 from patrolsim.roadmap import ChainRoadmap, load_roadmap
 from patrolsim.trajectories import min_latency_trajectory
 
+from conftest import run_python
+
 
 @pytest.fixture
 def chain_file(tmp_path):
@@ -44,6 +46,24 @@ class TestPartitionCommand:
         chain = load_roadmap(chain_file)
         direct, _ = optimal_partition_bisect(chain, 2, 1e-9)
         assert doc["clusters"] == [[chain.ids[i] for i in c] for c in direct.clusters]
+
+    def test_partition_below_float_spacing_exits(self, tmp_path):
+        # eps = 1e-9 is below the float spacing at the optimal span 1e7; in
+        # a fresh interpreter, so that a search that never ends fails on the
+        # timeout instead of stalling the suite
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"kind": "chain", "coordinates": [0, 1e7, 2e7, 2.5e7]}))
+        out = tmp_path / "part.json"
+        proc = run_python(
+            ["-m", "patrolsim.cli", "partition", "--roadmap", str(chain), "-m", "2",
+             "--out", str(out)],
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["clusters"] == [["v1", "v2"], ["v3", "v4"]]
+        a, b = doc["rho_interval"]
+        assert b == 1e7 and b - a == math.ulp(b)
 
     def test_infeasible_exit_code(self, tmp_path, chain_file):
         rc = dispatch(

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from patrolsim import partition as partition_module
 from patrolsim.cli import dispatch
@@ -22,7 +24,14 @@ from patrolsim.partition import (
 )
 from patrolsim.roadmap import ChainRoadmap
 
-from conftest import grid_greedy_clusters, min_dimension_dp, min_span_dp_grid, random_chain
+from conftest import (
+    bisect_every_midpoint,
+    grid_greedy_clusters,
+    min_dimension_dp,
+    min_span_dp_grid,
+    random_chain,
+    run_python,
+)
 
 
 CHAIN_0136 = ChainRoadmap([0, 1, 3, 6])
@@ -367,6 +376,102 @@ def test_bisect_at_scale():
     assert part == first
     exact = optimal_partition_exact(chain, m)
     assert 0 <= part.dimension_exact - exact.dimension_exact <= eps
+
+
+# chains whose optimal span, 1e8 or 1e7, has a float spacing above the
+# default eps = 1e-9: the bracket cannot close to eps
+BELOW_SPACING_CHAINS = [[0, 1e8, 2e8 + 0.5, 3e8], [0, 1e7, 2e7, 2.5e7]]
+
+
+@pytest.mark.parametrize("coords", BELOW_SPACING_CHAINS)
+def test_bisect_ends_when_no_float_lies_between(coords):
+    # in a fresh interpreter, so that a search that never ends fails on the
+    # timeout instead of stalling the suite
+    code = (
+        "import json, math, time\n"
+        "from patrolsim.partition import optimal_partition_bisect\n"
+        "from patrolsim.roadmap import ChainRoadmap\n"
+        "start = time.perf_counter()\n"
+        f"part, rep = optimal_partition_bisect(ChainRoadmap({coords!r}), 2, 1e-9)\n"
+        "seconds = time.perf_counter() - start\n"
+        "print(json.dumps([seconds, rep.b - rep.a == math.ulp(rep.b), part.clusters]))\n"
+    )
+    out = run_python(["-c", code], timeout=30)
+    assert out.returncode == 0, out.stderr
+    seconds, one_ulp, clusters = json.loads(out.stdout)
+    assert seconds < 1.0
+    assert one_ulp
+    assert clusters == [[0, 1], [2, 3]]
+
+
+def _counting_passes(passes):
+    """A stand-in for ``_float_greedy`` that records, per pass, how many
+    binary searches it ran."""
+    greedy, search = partition_module._float_greedy, partition_module.bisect_right
+    searches = [0]
+
+    def counting_search(*args):
+        searches[0] += 1
+        return search(*args)
+
+    def counting(coords, rho, m):
+        searches[0] = 0
+        with mock.patch.object(partition_module, "bisect_right", counting_search):
+            out = greedy(coords, rho, m)
+        passes.append((m, searches[0]))
+        return out
+
+    return counting
+
+
+def check_against_every_midpoint(chain, m, eps):
+    """The bisection equals the loop that counts clusters at every
+    midpoint, in its bracket, iterations and partition, and it runs at most
+    one pass of at most m binary searches per iteration."""
+    passes = []
+    with mock.patch.object(partition_module, "_float_greedy", _counting_passes(passes)):
+        part, rep = optimal_partition_bisect(chain, m, eps)
+    a, b, iterations, expected = bisect_every_midpoint(chain, m, eps)
+    assert (rep.a, rep.b, rep.iterations) == (a, b, iterations)
+    assert part == rep.partition == expected
+    assert len(passes) <= rep.iterations
+    assert all(searches <= m for m, searches in passes)
+    if b - a > eps:
+        # eps is below the float spacing at the optimal span
+        assert math.nextafter(a, math.inf) == b
+    return len(passes)
+
+
+GAP_LAWS = {
+    "int": st.integers(1, 20),
+    "dyadic": st.integers(1, 640).map(lambda k: k / 64),
+    "uniform": st.floats(0.05, 10.0),
+    "1e7": st.floats(5e6, 2e7),
+    "sub-1e-6": st.floats(1e-9, 1e-6),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(law=st.sampled_from(sorted(GAP_LAWS)), data=st.data())
+def test_bisect_equals_every_midpoint_loop(law, data):
+    gaps = data.draw(st.lists(GAP_LAWS[law], min_size=1, max_size=30))
+    chain = ChainRoadmap(list(itertools.accumulate(gaps, initial=0)))
+    m = data.draw(st.integers(1, chain.n - 1))
+    eps = 10 ** data.draw(st.floats(-15.0, math.log10(0.5)))
+    assume(eps < chain.length / m)
+    check_against_every_midpoint(chain, m, eps)
+
+
+@pytest.mark.parametrize("n, m", [(10**4, 50), (10**4, 997), (10**5, 200), (10**5, 3001)])
+def test_bisect_equals_every_midpoint_loop_at_scale(n, m):
+    rng = random.Random(n + m)
+    coords = [0.0]
+    for _ in range(n - 1):
+        coords.append(coords[-1] + rng.uniform(0.1, 10.0))
+    chain = ChainRoadmap(coords)
+    passes = check_against_every_midpoint(chain, m, 1e-9)
+    # one pass decides an interval of spans, so most midpoints need none
+    assert passes < 25
 
 
 def test_clusters_are_plain_index_ranges(rng):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from patrolsim.partition import InfeasibleError
 from patrolsim.roadmap import TreeRoadmap
 from patrolsim.tree import (
     SubtreeCollection,
+    Tour,
     TourTeamTrajectory,
     _euler_tour,
     depth_first_tour,
@@ -309,6 +311,33 @@ class TestTourCheck:
             tours.append(_euler_tour([f"v{v}" for v in comp], sub, f"v{comp[0]}"))
         traj = equally_spaced_team(tours, counts)
         assert traj.refresh_time() == fraction_tour_refresh_time(traj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        weights=st.sampled_from(["float", "fraction"]),
+        data=st.data(),
+    )
+    def test_per_vertex_gaps_equal_fraction_oracle(self, k, weights, data):
+        # hand-built closed walks in which every vertex occurs at least twice
+        # a lap: in a planned tour some leaf occurs once and sets the worst
+        # gap at L / m_j whatever the fold, here the gaps between each
+        # vertex's own positions do
+        names = [f"v{i}" for i in range(k)]
+        extra = data.draw(st.lists(st.sampled_from(names), max_size=10))
+        walk = data.draw(st.permutations(names * 2 + extra))
+        draw = {
+            "float": st.floats(0.05, 5.0).map(Fraction),
+            "fraction": st.builds(Fraction, st.integers(1, 40), st.sampled_from([3, 7, 9])),
+        }[weights]
+        steps = data.draw(st.lists(draw, min_size=len(walk), max_size=len(walk)))
+        tour = Tour(
+            vertices=tuple(walk) + (walk[0],),
+            cum=tuple(itertools.accumulate(steps, initial=Fraction(0))),
+        )
+        for mj in range(1, 5):
+            traj = equally_spaced_team([tour], [mj])
+            assert traj.refresh_time() == fraction_tour_refresh_time(traj)
 
     def test_planned_trees_equal_fraction_oracle(self):
         rng = random.Random("tour-check-trees")
