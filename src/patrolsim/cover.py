@@ -27,7 +27,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .partition import InfeasibleError, optimal_partition_bisect
-from .roadmap import ChainRoadmap, Roadmap, _spanning_tree
+from .roadmap import ChainRoadmap, Roadmap, _on_grid, _spanning_tree
 from .trajectories import TeamTrajectory, min_refresh_trajectory
 from .tree import TourTeamTrajectory, _closed_walk, _euler_tour
 
@@ -65,14 +65,14 @@ def chainify(g: Roadmap) -> ChainifyResult:
         raise InfeasibleError("roadmaps with fewer than 3 vertices are chains already")
     unit, lengths = g.grid
     edges = ((g.index(u), g.index(v), w) for (u, v, _), w in zip(g.edges, lengths))
-    adj: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(g.n)}
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.n)}
     for i, j, w in _spanning_tree(g.n, edges):
-        adj[i].append((j, Fraction(w, unit)))
-        adj[j].append((i, Fraction(w, unit)))
+        adj[i].append((j, w))
+        adj[j].append((i, w))
     for i in adj:
         adj[i].sort()
     root = min(i for i in adj if len(adj[i]) == 1)
-    walk, lengths = _closed_walk(adj, root)
+    walk, steps = _closed_walk(adj, root)
     # drop the trailing walk back from the last newly discovered vertex
     seen: set[int] = set()
     last_new = 0
@@ -81,11 +81,11 @@ def chainify(g: Roadmap) -> ChainifyResult:
             seen.add(v)
             last_new = k
     walk = walk[: last_new + 1]
-    lengths = lengths[:last_new]
-    assert len(lengths) <= 2 * g.n - 4
+    steps = steps[:last_new]
+    assert len(steps) <= 2 * g.n - 4
     assert len(walk) <= 2 * g.n - 3
 
-    cum = list(accumulate(lengths, initial=Fraction(0)))
+    cum = [Fraction(x, unit) for x in accumulate(steps, initial=0)]
     tour_ids = tuple(g.ids[v] for v in walk)
     chain = ChainRoadmap(cum, ids=tuple(f"c{k}" for k in range(len(cum))))
     return ChainifyResult(
@@ -93,7 +93,7 @@ def chainify(g: Roadmap) -> ChainifyResult:
         tour=tour_ids,
         chain=chain,
         back_map=tour_ids,
-        edge_lengths=tuple(lengths),
+        edge_lengths=tuple(Fraction(w, unit) for w in steps),
     )
 
 
@@ -299,20 +299,22 @@ def minmax_path_cover(g: Roadmap, m: int) -> PathCover:
 
 def path_cover_trajectory(cover: PathCover, m: int, horizon) -> TourTeamTrajectory:
     """Sweep one robot per cover path back and forth at unit speed: each
-    robot rides the closed walk of its path from the path's first vertex."""
+    robot rides the closed walk of its path from the path's first vertex,
+    on the grid of the path's float hop lengths."""
     if len(cover.paths) > m:
         raise InfeasibleError(
             f"cover has {len(cover.paths)} paths but only m={m} robots"
         )
     d = cover.roadmap.distance
+    tours = []
+    for p in cover.paths:
+        unit, hops = _on_grid([Fraction(d(a, b)) for a, b in zip(p, p[1:])])
+        tours.append(_euler_tour(p, list(zip(p, p[1:], hops)), p[0], unit))
     return TourTeamTrajectory(
-        tours=tuple(
-            _euler_tour(p, [(a, b, d(a, b)) for a, b in zip(p, p[1:])], p[0])
-            for p in cover.paths
-        ),
+        tours=tuple(tours),
         stationary=tuple(p[0] if len(p) == 1 else None for p in cover.paths),
         robots=tuple((j, Fraction(0)) for j in range(len(cover.paths))),
-        horizon=Fraction(horizon),
+        horizon=horizon,
     )
 
 

@@ -19,9 +19,10 @@ cycle's episodes over a window only where they need it
 (``PiecewisePath._unrolled``).  Latency merges each robot's episodes at
 a viewpoint once, because the pairwise intersections need sorted,
 disjoint lists, and merges a pair's joint dwells once more.  Tree tours
-and path-cover sweeps are rides on closed walks; their steady refresh
-time is the largest circular gap between a vertex's positions on the
-walk (``tree.TourTeamTrajectory.refresh_time``).
+and path-cover sweeps are rides on closed walks, each walked once per
+plan with its positions held as grid ints; their steady refresh time is
+the largest circular gap between a vertex's folded positions on those
+ints (``tree.TourTeamTrajectory.refresh_time``).
 Latency is evaluated by message propagation over the per-pair
 communication instants: a message injected at a meeting of the first robot
 pair must relay through meetings of every subsequent pair in time order,

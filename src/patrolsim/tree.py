@@ -10,10 +10,12 @@ the optimal plan exactly in time polynomial in n and m
 (``optimal_subtree_collection``).  It reads only the tree's edges and
 their integer grid, so a tree of any size plans without a distance table.
 
-``efficient_trajectory`` checks each plan against the refresh time of its
-tours (``TourTeamTrajectory.refresh_time``): a tour's equally spaced
-robots fold onto one of them, and each vertex's largest revisit gap is
-read on the tour's integer grid.
+A tour holds its positions as ints on the tree's grid, and a plan walks
+each tour once (``SubtreeCollection.tours``).  ``efficient_trajectory``
+checks the plan's objective, summed from its edges, against the refresh
+time of its tours (``TourTeamTrajectory.refresh_time``): a tour's
+equally spaced robots fold onto one of them, and each vertex's largest
+revisit gap is read on the tour's ints.
 
 ``_closed_walk`` is the package's one tree walk: tours, chainification
 and the path cover's preorder walks all take it.
@@ -22,33 +24,30 @@ and the path cover's preorder walks all take it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
 from .partition import InfeasibleError
-from .roadmap import TreeRoadmap, _on_grid
+from .roadmap import TreeRoadmap
 from .trajectories import sample_times
 
 
 @dataclass(frozen=True)
 class Tour:
-    """Closed depth-first walk: vertex ids with exact cumulative positions."""
+    """Closed depth-first walk on an integer grid: ``xs[k]`` is the position
+    of ``vertices[k]`` along the walk times ``unit``."""
 
     vertices: tuple[str, ...]
-    cum: tuple[Fraction, ...]
+    unit: int
+    xs: tuple[int, ...]
 
     @property
     def length(self) -> Fraction:
-        return self.cum[-1]
-
-    def vertex_positions(self) -> dict[str, list[Fraction]]:
-        occ: dict[str, list[Fraction]] = {}
-        for vid, p in zip(self.vertices[:-1], self.cum[:-1]):
-            occ.setdefault(vid, []).append(p)
-        return occ
+        return Fraction(self.xs[-1], self.unit)
 
 
 def _closed_walk(adj, root):
@@ -78,16 +77,19 @@ def _closed_walk(adj, root):
     return walk, steps
 
 
-def _euler_tour(vertices, edges, root) -> Tour:
+def _euler_tour(vertices, edges, root, unit: int) -> Tour:
+    """Closed depth-first walk from ``root`` over ``(u, v, w)`` edges, whose
+    int weights w count steps of 1 / ``unit``; each vertex's children are
+    walked in the order of ``vertices``."""
     index = {v: i for i, v in enumerate(vertices)}
-    adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in vertices}
+    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in vertices}
     for u, v, w in edges:
-        adj[u].append((v, Fraction(w)))
-        adj[v].append((u, Fraction(w)))
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     for v in adj:
         adj[v].sort(key=lambda e: index[e[0]])
     walk, steps = _closed_walk(adj, root)
-    return Tour(vertices=tuple(walk), cum=tuple(accumulate(steps, initial=Fraction(0))))
+    return Tour(vertices=tuple(walk), unit=unit, xs=tuple(accumulate(steps, initial=0)))
 
 
 def depth_first_tour(tree: TreeRoadmap) -> Tour:
@@ -96,20 +98,28 @@ def depth_first_tour(tree: TreeRoadmap) -> Tour:
     Children are visited in vertex-index order for determinism; the tour
     length equals twice the summed edge weights exactly.
     """
-    tour = _euler_tour(tree.ids, tree.edges, tree.ids[0])
-    total = sum((Fraction(w) for _, _, w in tree.edges), Fraction(0))
-    assert tour.length == 2 * total
+    unit, lengths = tree.grid
+    edges = [(u, v, w) for (u, v, _), w in zip(tree.edges, lengths)]
+    tour = _euler_tour(tree.ids, edges, tree.ids[0], unit)
+    assert tour.xs[-1] == 2 * sum(lengths)
     return tour
 
 
 @dataclass(frozen=True)
 class SubtreeCollection:
-    """Vertex-disjoint subtrees covering the tree plus a robot allocation."""
+    """Vertex-disjoint subtrees covering the tree plus a robot allocation.
+
+    The subtrees must be the components left by removing ``removed_edges``.
+    The constructor checks that in one pass over the tree's edges, which
+    also hands each subtree its kept edges, with their int weights on the
+    tree's grid, for its tour and for ``objective_exact``.
+    """
 
     tree: TreeRoadmap
     removed_edges: tuple[tuple[str, str], ...]
     subtrees: tuple[tuple[str, ...], ...]
     allocation: tuple[int, ...]
+    _kept: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.subtrees) != len(self.allocation):
@@ -118,33 +128,46 @@ class SubtreeCollection:
             raise InfeasibleError(
                 "every subtree needs at least one robot for a finite refresh time"
             )
-        covered = [v for sub in self.subtrees for v in sub]
-        if sorted(covered) != sorted(self.tree.ids):
+        where = {v: j for j, sub in enumerate(self.subtrees) for v in sub}
+        if sum(map(len, self.subtrees)) != len(where) or where.keys() != set(self.tree.ids):
             raise ValueError("subtrees must partition the vertex set")
+        removed = {frozenset(e) for e in self.removed_edges}
+        kept: list[list[tuple[str, str, int]]] = [[] for _ in self.subtrees]
+        cuts = 0
+        for (u, v, _), w in zip(self.tree.edges, self.tree.grid[1]):
+            j = where[u]
+            if frozenset((u, v)) in removed:
+                if where[v] == j:
+                    raise ValueError(f"removed edge ({u}, {v}) lies inside subtree {j}")
+                cuts += 1
+            elif where[v] != j:
+                raise ValueError(f"kept edge ({u}, {v}) joins subtrees {j} and {where[v]}")
+            else:
+                kept[j].append((u, v, w))
+        if cuts != len(self.removed_edges):
+            raise ValueError("removed edges must be distinct edges of the tree")
+        for j, (sub, es) in enumerate(zip(self.subtrees, kept)):
+            if len(es) != len(sub) - 1:
+                raise ValueError(f"subtree {j} is not connected by its kept edges")
+        object.__setattr__(self, "_kept", tuple(map(tuple, kept)))
 
     @property
     def m(self) -> int:
         return sum(self.allocation)
 
-    def subtree_edges(self, j: int):
-        vs = set(self.subtrees[j])
-        removed = {frozenset(e) for e in self.removed_edges}
-        return [
-            (u, v, w)
-            for u, v, w in self.tree.edges
-            if u in vs and v in vs and frozenset((u, v)) not in removed
-        ]
-
-    def tour_lengths(self) -> tuple[Fraction, ...]:
+    @cached_property
+    def tours(self) -> tuple[Tour, ...]:
+        unit = self.tree.grid[0]
         return tuple(
-            2 * sum((Fraction(w) for _, _, w in self.subtree_edges(j)), Fraction(0))
-            for j in range(len(self.subtrees))
+            _euler_tour(sub, es, sub[0], unit) for sub, es in zip(self.subtrees, self._kept)
         )
 
     @property
     def objective_exact(self) -> Fraction:
+        unit = self.tree.grid[0]
         return max(
-            dft / mj for dft, mj in zip(self.tour_lengths(), self.allocation)
+            Fraction(2 * sum(w for _, _, w in es), mj * unit)
+            for es, mj in zip(self._kept, self.allocation)
         )
 
     @property
@@ -152,16 +175,14 @@ class SubtreeCollection:
         return float(self.objective_exact)
 
     def to_document(self) -> dict:
-        tours = []
-        for j, sub in enumerate(self.subtrees):
-            tour = _euler_tour(sub, self.subtree_edges(j), sub[0])
-            tours.append({"vertices": list(tour.vertices), "length": float(tour.length)})
         return {
             "removed_edges": [list(e) for e in self.removed_edges],
             "subtrees": [list(s) for s in self.subtrees],
             "allocation": list(self.allocation),
             "objective": self.objective,
-            "tours": tours,
+            "tours": [
+                {"vertices": list(t.vertices), "length": float(t.length)} for t in self.tours
+            ],
         }
 
 
@@ -378,6 +399,9 @@ class TourTeamTrajectory:
     horizon: Fraction
 
     def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", Fraction(self.horizon))
         for j, offsets in self._offsets().items():
             L, mj = self.tours[j].length, len(offsets)
             if offsets != [k * L / mj for k in range(mj)]:
@@ -411,17 +435,16 @@ class TourTeamTrajectory:
             if self.stationary[j] is not None:
                 continue
             tour, mj = self.tours[j], len(offsets)
-            unit, xs = _on_grid(tour.cum)
-            L = xs[-1]
+            L = tour.xs[-1]
             folded: dict[str, list[int]] = {}
-            for vid, x in zip(tour.vertices, xs[:-1]):
+            for vid, x in zip(tour.vertices, tour.xs[:-1]):
                 folded.setdefault(vid, []).append(x * mj % L)
             gap = 0
             for ps in folded.values():
                 ps.sort()
                 gap = max(gap, ps[0] + L - ps[-1], *(b - a for a, b in zip(ps, ps[1:])))
-            if gap * scale > worst * mj * unit:
-                worst, scale = gap, mj * unit
+            if gap * scale > worst * mj * tour.unit:
+                worst, scale = gap, mj * tour.unit
         return worst / scale
 
     def sample(self, dt: float):
@@ -442,25 +465,15 @@ def efficient_trajectory(coll: SubtreeCollection, horizon) -> TourTeamTrajectory
     All robots move forward at unit speed with phase gaps of one m_j-th of
     the tour, so every vertex is revisited within DFT(T_j)/m_j.
     """
-    horizon = Fraction(horizon)
-    tours: list[Tour] = []
-    stationary: list[str | None] = []
-    robots: list[tuple[int, Fraction]] = []
-    for j, sub in enumerate(coll.subtrees):
-        mj = coll.allocation[j]
-        tour = _euler_tour(sub, coll.subtree_edges(j), sub[0])
-        tours.append(tour)
-        stationary.append(sub[0] if len(sub) == 1 else None)
-        robots.extend((j, k * tour.length / mj) for k in range(mj))
     traj = TourTeamTrajectory(
-        tours=tuple(tours),
-        stationary=tuple(stationary),
-        robots=tuple(robots),
+        tours=coll.tours,
+        stationary=tuple(sub[0] if len(sub) == 1 else None for sub in coll.subtrees),
+        robots=tuple(
+            (j, k * tour.length / mj)
+            for j, (tour, mj) in enumerate(zip(coll.tours, coll.allocation))
+            for k in range(mj)
+        ),
         horizon=horizon,
     )
-    analytic = max(
-        (dft / mj for dft, mj in zip(coll.tour_lengths(), coll.allocation)),
-        default=Fraction(0),
-    )
-    assert traj.refresh_time() == float(analytic)
+    assert traj.refresh_time() == coll.objective
     return traj

@@ -392,6 +392,20 @@ def subtree_search_oracle(tree, m: int):
 # tour-check oracle
 
 
+def tour_cum(tour) -> tuple[Fraction, ...]:
+    """A tour's positions along its walk as exact ``Fraction``s."""
+    return tuple(Fraction(x, tour.unit) for x in tour.xs)
+
+
+def tour_positions(tour) -> dict[str, list[Fraction]]:
+    """Each vertex's positions on its closed walk (the closing return to
+    the root left out), as exact ``Fraction``s."""
+    occ: dict[str, list[Fraction]] = {}
+    for vid, p in zip(tour.vertices[:-1], tour_cum(tour)[:-1]):
+        occ.setdefault(vid, []).append(p)
+    return occ
+
+
 def fraction_tour_refresh_time(traj) -> float:
     """``TourTeamTrajectory.refresh_time`` in plain ``Fraction`` arithmetic:
     every robot's visits to every vertex, one tour length apart, and the
@@ -405,10 +419,60 @@ def fraction_tour_refresh_time(traj) -> float:
             continue
         tour = traj.tours[j]
         L = tour.length
-        for positions in tour.vertex_positions().values():
+        for positions in tour_positions(tour).values():
             visits = [((p - off) % L,) * 2 for off in offsets for p in positions]
             worst = max(worst, _circular_gap(visits, L))
     return float(worst)
+
+
+def fraction_euler_tour(vertices, edges, root) -> tuple[tuple, tuple[Fraction, ...]]:
+    """A closed depth-first walk and its cumulative positions, summed as
+    ``Fraction``s of the edge weights, whatever their type: children in
+    the order of ``vertices``, one recursive call per vertex."""
+    index = {v: i for i, v in enumerate(vertices)}
+    adj: dict = {v: [] for v in vertices}
+    for u, v, w in edges:
+        adj[u].append((v, Fraction(w)))
+        adj[v].append((u, Fraction(w)))
+    walk, cum = [root], [Fraction(0)]
+
+    def visit(v, parent):
+        for u, w in sorted(adj[v], key=lambda e: index[e[0]]):
+            if u != parent:
+                walk.append(u)
+                cum.append(cum[-1] + w)
+                visit(u, v)
+                walk.append(v)
+                cum.append(cum[-1] + w)
+
+    visit(root, None)
+    return tuple(walk), tuple(cum)
+
+
+def fraction_plan(coll):
+    """A subtree collection's tours, tour lengths, objective and document,
+    all from ``Fraction`` sums of its float edge weights: each subtree
+    takes the tree edges with both ends in it that are not removed."""
+    removed = {frozenset(e) for e in coll.removed_edges}
+    tours, lengths = [], []
+    for sub in coll.subtrees:
+        vs = set(sub)
+        edges = [
+            (u, v, w)
+            for u, v, w in coll.tree.edges
+            if u in vs and v in vs and frozenset((u, v)) not in removed
+        ]
+        tours.append(fraction_euler_tour(sub, edges, sub[0]))
+        lengths.append(2 * sum((Fraction(w) for _, _, w in edges), Fraction(0)))
+    objective = max(dft / mj for dft, mj in zip(lengths, coll.allocation))
+    doc = {
+        "removed_edges": [list(e) for e in coll.removed_edges],
+        "subtrees": [list(s) for s in coll.subtrees],
+        "allocation": list(coll.allocation),
+        "objective": float(objective),
+        "tours": [{"vertices": list(vs), "length": float(cum[-1])} for vs, cum in tours],
+    }
+    return tours, lengths, objective, doc
 
 
 # ---------------------------------------------------------------------------

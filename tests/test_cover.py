@@ -306,3 +306,21 @@ class TestCoverTrajectory:
         cover = minmax_path_cover(unit_square(), 2)
         with pytest.raises(InfeasibleError):
             path_cover_trajectory(cover, 1, horizon=5.0)
+
+    def test_tour_lengths_are_twice_the_path_costs(self):
+        # a sweep rides its path there and back, on the grid of the path's
+        # own float hop lengths
+        rng = random.Random("cover-tour-lengths")
+        for _ in range(20):
+            g = random_metric_roadmap(rng, n_lo=3, n_hi=20)
+            for m in (1, 2, 4):
+                cover = minmax_path_cover(g, m)
+                traj = path_cover_trajectory(cover, m, horizon=1.0)
+                for j, tour in enumerate(traj.tours):
+                    assert tour.length == 2 * cover.path_cost_exact(j)
+
+    @pytest.mark.parametrize("horizon", [-5.0, 0, math.inf, math.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        cover = minmax_path_cover(unit_square(), 2)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            path_cover_trajectory(cover, 2, horizon=horizon)

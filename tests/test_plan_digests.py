@@ -24,7 +24,7 @@ from patrolsim.cover import (
 )
 from patrolsim.tree import depth_first_tour, efficient_trajectory, optimal_subtree_collection
 
-from conftest import random_metric_roadmap, random_tree
+from conftest import random_metric_roadmap, random_tree, tour_cum
 
 SEEDS = range(60)
 
@@ -66,12 +66,12 @@ def tree_outputs():
     for seed in SEEDS:
         t = _tree(seed)
         tour = depth_first_tour(t)
-        yield tour.vertices, tour.cum
+        yield tour.vertices, tour_cum(tour)
         for m in (1, 2, 3):
             coll = optimal_subtree_collection(t, m)
             traj = efficient_trajectory(coll, horizon=max(1.0, 2.0 * coll.objective))
             yield (
-                tuple((tr.vertices, tr.cum) for tr in traj.tours),
+                tuple((tr.vertices, tour_cum(tr)) for tr in traj.tours),
                 traj.stationary,
                 traj.robots,
                 traj.refresh_time(),

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from patrolsim.cli import dispatch
 from patrolsim.cover import chainify, minmax_path_cover, path_cover_trajectory
 from patrolsim.partition import InfeasibleError
-from patrolsim.roadmap import TreeRoadmap
+from patrolsim.roadmap import TreeRoadmap, _on_grid
 from patrolsim.tree import (
     SubtreeCollection,
     Tour,
@@ -26,10 +26,13 @@ from patrolsim.tree import (
 )
 
 from conftest import (
+    fraction_plan,
     fraction_tour_refresh_time,
     random_metric_roadmap,
     random_tree,
     subtree_search_oracle,
+    tour_cum,
+    tour_positions,
 )
 
 
@@ -54,7 +57,7 @@ def sampled_visit_times(traj, dt: float) -> dict[str, list[float]]:
         # forward motion only, so unwrap by accumulating modular steps
         steps = np.mod(np.diff(wrapped), L)
         unwrapped = wrapped[0] + np.concatenate(([0.0], np.cumsum(steps)))
-        for vid, occs in tour.vertex_positions().items():
+        for vid, occs in tour_positions(tour).items():
             for p in occs:
                 pf = float(p)
                 target = pf + math.ceil((unwrapped[0] - pf) / L) * L
@@ -152,7 +155,7 @@ class TestDepthFirstTour:
         t = unit_path(k)
         tour = depth_first_tour(t)
         assert tour.vertices == t.ids + t.ids[-2::-1]
-        assert tour.cum == tuple(range(2 * k + 1))
+        assert tour_cum(tour) == tuple(range(2 * k + 1))
         coll = SubtreeCollection(tree=t, removed_edges=(), subtrees=(t.ids,), allocation=(2,))
         assert efficient_trajectory(coll, horizon=4 * k).refresh_time() == k
         doc = coll.to_document()["tours"]
@@ -160,6 +163,71 @@ class TestDepthFirstTour:
         res = chainify(t)
         assert res.tour == t.ids
         assert res.chain.coords_exact == tuple(range(k + 1))
+
+
+def path_abcd() -> TreeRoadmap:
+    return TreeRoadmap(
+        ["a", "b", "c", "d"], [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)]
+    )
+
+
+class TestSubtreeCollectionChecks:
+    """A collection's subtrees must be the components its removed edges
+    leave; each case below was accepted or crashed without the check."""
+
+    def test_subtree_split_by_removed_edges_rejected(self):
+        # every edge removed: a and c share a subtree but no kept edge, so
+        # c would never be toured (objective 0.0)
+        with pytest.raises(ValueError, match=r"subtree 0 is not connected"):
+            SubtreeCollection(
+                tree=path_abcd(),
+                removed_edges=(("a", "b"), ("b", "c"), ("c", "d")),
+                subtrees=(("a", "c"), ("b",), ("d",)),
+                allocation=(1, 1, 1),
+            )
+
+    def test_subtree_joined_only_through_another_rejected(self):
+        # d's only edge goes to c, so the tour of (a, b, d) never reaches d
+        # (objective 2.0)
+        with pytest.raises(ValueError, match=r"subtree 0 is not connected"):
+            SubtreeCollection(
+                tree=path_abcd(),
+                removed_edges=(("b", "c"), ("c", "d")),
+                subtrees=(("a", "b", "d"), ("c",)),
+                allocation=(1, 1),
+            )
+
+    def test_removed_edge_inside_a_subtree_rejected(self):
+        with pytest.raises(ValueError, match=r"removed edge \(a, b\) lies inside subtree 0"):
+            SubtreeCollection(
+                tree=path_abcd(),
+                removed_edges=(("a", "b"),),
+                subtrees=(("a", "b", "c", "d"),),
+                allocation=(2,),
+            )
+
+    def test_kept_edge_between_subtrees_rejected(self):
+        with pytest.raises(ValueError, match=r"kept edge \(b, c\) joins subtrees 0 and 1"):
+            SubtreeCollection(
+                tree=path_abcd(),
+                removed_edges=(),
+                subtrees=(("a", "b"), ("c", "d")),
+                allocation=(1, 1),
+            )
+
+    @pytest.mark.parametrize(
+        "removed",
+        [(("b", "c"), ("a", "c")), (("b", "c"), ("c", "b"))],
+        ids=["non-edge", "repeated"],
+    )
+    def test_removed_edges_must_be_distinct_tree_edges(self, removed):
+        with pytest.raises(ValueError, match="distinct edges of the tree"):
+            SubtreeCollection(
+                tree=path_abcd(),
+                removed_edges=removed,
+                subtrees=(("a", "b"), ("c", "d")),
+                allocation=(1, 1),
+            )
 
 
 class TestEfficientTrajectory:
@@ -205,6 +273,15 @@ class TestEfficientTrajectory:
         traj = efficient_trajectory(coll, horizon=30)
         with pytest.raises(ValueError, match="sample step must be positive and finite"):
             traj.sample(dt)
+
+    @pytest.mark.parametrize("horizon", [-5, 0, math.inf, math.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        star = unit_star()
+        coll = SubtreeCollection(
+            tree=star, removed_edges=(), subtrees=(tuple(star.ids),), allocation=(2,)
+        )
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            efficient_trajectory(coll, horizon=horizon)
 
     def test_zero_allocation_rejected(self):
         p3 = unit_path(3)
@@ -300,15 +377,16 @@ class TestTourCheck:
         counts = [1] * len(comps)
         for _ in range(m - len(comps)):
             counts[data.draw(st.integers(0, len(comps) - 1))] += 1
+        unit, grid = _on_grid([Fraction(w) for _, _, w in edges])
         tours = []
         for comp in comps:
             inside = set(comp)
             sub = [
-                (f"v{u}", f"v{v}", w)
-                for k, (u, v, w) in enumerate(edges)
+                (f"v{u}", f"v{v}", x)
+                for k, ((u, v, _), x) in enumerate(zip(edges, grid))
                 if k not in cut and u in inside and v in inside
             ]
-            tours.append(_euler_tour([f"v{v}" for v in comp], sub, f"v{comp[0]}"))
+            tours.append(_euler_tour([f"v{v}" for v in comp], sub, f"v{comp[0]}", unit))
         traj = equally_spaced_team(tours, counts)
         assert traj.refresh_time() == fraction_tour_refresh_time(traj)
 
@@ -331,9 +409,11 @@ class TestTourCheck:
             "fraction": st.builds(Fraction, st.integers(1, 40), st.sampled_from([3, 7, 9])),
         }[weights]
         steps = data.draw(st.lists(draw, min_size=len(walk), max_size=len(walk)))
+        unit, grid = _on_grid(steps)
         tour = Tour(
             vertices=tuple(walk) + (walk[0],),
-            cum=tuple(itertools.accumulate(steps, initial=Fraction(0))),
+            unit=unit,
+            xs=tuple(itertools.accumulate(grid, initial=0)),
         )
         for mj in range(1, 5):
             traj = equally_spaced_team([tour], [mj])
@@ -379,6 +459,57 @@ class TestTourCheck:
         team = equally_spaced_team([star, path], [3, 2])
         assert team.robots == ((0, 0), (0, 2), (0, 4), (1, 0), (1, 2))
         assert team.refresh_time() == 2.0 == fraction_tour_refresh_time(team)
+
+
+class TestPlanOracle:
+    """Tours walked once on the tree's grid ints give the tours, tour
+    lengths, objective and plan document that ``Fraction`` sums of the
+    float edge weights give."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 8),
+        weights=st.sampled_from(["float", "decimal"]),
+        planned=st.booleans(),
+        data=st.data(),
+    )
+    def test_plan_equals_fraction_oracle(self, n, m, weights, planned, data):
+        draw = {
+            "float": st.floats(0.05, 5.0),
+            "decimal": st.sampled_from([0.1, 0.3, 0.7, 1.1, 2.9]),
+        }[weights]
+        edges = [
+            (i, data.draw(st.integers(0, i - 1)), data.draw(draw)) for i in range(1, n)
+        ]
+        ids = [f"v{i}" for i in range(n)]
+        t = TreeRoadmap(ids, [(ids[u], ids[v], w) for u, v, w in edges])
+        if planned:
+            coll = optimal_subtree_collection(t, m)
+        else:
+            # a random cut and allocation, each subtree listed in a random
+            # order: its first vertex roots the tour and the order sorts
+            # each vertex's children
+            cut = data.draw(st.sets(st.integers(0, max(n - 2, 0)), max_size=min(m - 1, n - 1)))
+            comps = cut_components(n, edges, cut)
+            counts = [1] * len(comps)
+            for _ in range(m - len(comps)):
+                counts[data.draw(st.integers(0, len(comps) - 1))] += 1
+            coll = SubtreeCollection(
+                tree=t,
+                removed_edges=tuple((ids[edges[k][0]], ids[edges[k][1]]) for k in sorted(cut)),
+                subtrees=tuple(
+                    tuple(ids[v] for v in data.draw(st.permutations(comp))) for comp in comps
+                ),
+                allocation=tuple(counts),
+            )
+        tours, lengths, objective, doc = fraction_plan(coll)
+        assert [(tour.vertices, tour_cum(tour)) for tour in coll.tours] == tours
+        assert [tour.length for tour in coll.tours] == lengths
+        assert coll.objective_exact == objective
+        assert json.dumps(coll.to_document()) == json.dumps(doc)
+        traj = efficient_trajectory(coll, horizon=1)
+        assert traj.refresh_time() == float(objective)
 
 
 class TestOptimalSubtreeCollection:
